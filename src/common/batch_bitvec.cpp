@@ -14,7 +14,10 @@ std::size_t lane_words_for(unsigned lanes) {
 }
 
 void BatchBitVec::clear_all() {
-  std::fill(words_.begin(), words_.end(), std::uint64_t{0});
+  // Only the live extent: after a shrinking reshape() the grow-only
+  // buffer is larger than sites() x lane_words(), and clearing the
+  // stale tail would cost every caller the largest shape ever used.
+  std::fill_n(words_.begin(), sites_ * lane_words_, std::uint64_t{0});
 }
 
 void BatchBitVec::reshape(std::size_t sites, std::size_t lane_words) {

@@ -120,7 +120,9 @@ class BatchBitVec {
         std::uint64_t{1} << (lane % kLanesPerWord);
   }
 
-  /// Zeroes every lane of every site without reallocating.
+  /// Zeroes every lane of every site without reallocating. Touches only
+  /// the live sites() x lane_words() words, never the spare capacity a
+  /// shrinking reshape() leaves behind.
   void clear_all();
 
   /// Re-dimensions to (sites, lane_words) and zeroes every bit. Never

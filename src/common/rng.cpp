@@ -13,12 +13,6 @@ std::uint64_t SplitMix64::next() {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) {
@@ -26,33 +20,16 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   }
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  assert(bound != 0);
-  // Lemire's nearly-divisionless bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = (0 - bound) % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t Rng::below_finish(std::uint64_t bound, std::uint64_t low,
+                                std::uint64_t high) {
+  assert(bound != 0 && low < bound);
+  const std::uint64_t t = (0 - bound) % bound;
+  while (low < t) {
+    const __uint128_t m = static_cast<__uint128_t>(next()) * bound;
+    low = static_cast<std::uint64_t>(m);
+    high = static_cast<std::uint64_t>(m >> 64);
   }
-  return static_cast<std::uint64_t>(m >> 64);
+  return high;
 }
 
 double Rng::uniform01() {

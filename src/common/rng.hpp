@@ -6,12 +6,33 @@
 // a credible fault-injection study.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string_view>
 #include <vector>
 
 namespace nbx {
+
+/// One xoshiro256** 1.0 step on a bare state: returns the output and
+/// advances (s0, s1, s2, s3). Rng::next() is this on its own state; the
+/// wide engine runs it over arrays of lane states, where a loop over
+/// lanes vectorizes.
+inline std::uint64_t xoshiro256ss_step(std::uint64_t& s0, std::uint64_t& s1,
+                                       std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = std::rotl(s3, 45);
+  return result;
+}
 
 /// SplitMix64 — used to expand a single user seed into generator state.
 /// Reference: Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -36,7 +57,9 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Next raw 64-bit value.
-  std::uint64_t next();
+  std::uint64_t next() {
+    return xoshiro256ss_step(s_[0], s_[1], s_[2], s_[3]);
+  }
 
   /// UniformRandomBitGenerator interface so <algorithm> shuffles work.
   static constexpr result_type min() { return 0; }
@@ -45,7 +68,38 @@ class Rng {
 
   /// Uniform integer in [0, bound). bound must be nonzero. Uses Lemire's
   /// multiply-shift rejection method to avoid modulo bias.
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    assert(bound != 0);
+    // Lemire's nearly-divisionless bounded generation.
+    const __uint128_t m = static_cast<__uint128_t>(next()) * bound;
+    const auto low = static_cast<std::uint64_t>(m);
+    const auto high = static_cast<std::uint64_t>(m >> 64);
+    if (low < bound) [[unlikely]] {
+      return below_finish(bound, low, high);
+    }
+    return high;
+  }
+
+  /// The rare tail of below(bound): given the first draw's 128-bit
+  /// product x * bound split into (high, low) with low < bound, runs
+  /// Lemire's rejection loop on this generator and returns the accepted
+  /// value. Callers that draw the first value themselves (the wide
+  /// engine steps many lanes' generators in lockstep) hand it over here,
+  /// so every lane still consumes exactly below()'s draws.
+  std::uint64_t below_finish(std::uint64_t bound, std::uint64_t low,
+                             std::uint64_t high);
+
+  /// The raw xoshiro256** state, and its inverse: a generator whose
+  /// state is set to another's state() draws the same sequence. split()
+  /// derives children from the construction seed, not from this state.
+  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
+    return {s_[0], s_[1], s_[2], s_[3]};
+  }
+  void set_state(const std::array<std::uint64_t, 4>& s) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      s_[i] = s[i];
+    }
+  }
 
   /// Uniform double in [0, 1).
   double uniform01();

@@ -111,9 +111,10 @@ void MaskGenerator::generate_into(Rng& rng, const SetBit& set_bit,
   // clear, and iteration j can never land on an already-set j). One
   // below(j + 1) draw per step — exactly the sequence the historical
   // Rng::sample_without_replacement consumed, and the same final masks,
-  // but with no per-computation set/vector allocations. This loop is
-  // the simulator's hottest non-evaluation path (once per lane per
-  // instruction), so the allocation-free form matters.
+  // but with no per-computation set/vector allocations. The wide
+  // engine's lockstep_masks (simd/lane_engine_inl.hpp) runs this same
+  // loop for a block of lanes at once and must draw exactly as it does
+  // (tests/sim/lockstep_mask_test.cpp compares the two).
   for (std::size_t j = sites_ - k; j < sites_; ++j) {
     const auto t = static_cast<std::size_t>(rng.below(j + 1));
     if (test_bit(t)) {
@@ -144,13 +145,10 @@ void MaskGenerator::generate(Rng& rng, BatchBitVec& mask,
   // segment must be clear on entry — it doubles as Floyd's chosen-set.
   assert(mask.sites() >= sites_);
   assert(lane < mask.lane_words() * kLanesPerWord);
-  generate(rng, mask.row(0) + lane / kLanesPerWord, mask.lane_words(),
-           std::uint64_t{1} << (lane % kLanesPerWord));
-}
-
-void MaskGenerator::generate(Rng& rng, std::uint64_t* lane_word,
-                             std::size_t stride,
-                             std::uint64_t lane_bit) const {
+  // The lane's word in site i's row is lane_word[i * stride].
+  std::uint64_t* lane_word = mask.row(0) + lane / kLanesPerWord;
+  const std::size_t stride = mask.lane_words();
+  const std::uint64_t lane_bit = std::uint64_t{1} << (lane % kLanesPerWord);
   generate_into(
       rng,
       [lane_word, stride, lane_bit](std::size_t i) {

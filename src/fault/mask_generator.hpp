@@ -74,6 +74,16 @@ class MaskGenerator {
   /// any Rng.
   [[nodiscard]] std::size_t strikes_per_computation() const;
 
+  /// True for the i.i.d. counting policies (kRoundNearest, kFloor): every
+  /// mask is exactly faults_per_computation() Floyd steps, the step for
+  /// j = sites() - k .. sites() - 1 drawing one rng.below(j + 1). Every
+  /// trial's generator then walks the same j sequence, which is what
+  /// lets the wide engine step a lane group's generators in lockstep.
+  [[nodiscard]] bool uniform_count() const {
+    return policy_ == FaultCountPolicy::kRoundNearest ||
+           policy_ == FaultCountPolicy::kFloor;
+  }
+
   /// Generates a fresh mask into `mask` (resized/cleared as needed).
   /// Fault positions are uniform without replacement.
   void generate(Rng& rng, BitVec& mask) const;
@@ -91,17 +101,6 @@ class MaskGenerator {
   /// whole batch once per computation (BatchBitVec::clear_all), which is
   /// the batched analogue of the scalar per-mask clear.
   void generate(Rng& rng, BatchBitVec& mask, unsigned lane) const;
-
-  /// Raw lane-column writer for the SIMD lane engine's hot loop: writes
-  /// a fresh mask into the bit `lane_bit` of words lane_word[i * stride]
-  /// for sites i in [0, sites()). `lane_word` points at the lane's word
-  /// inside site row 0 of a site-major multi-word batch (see
-  /// BatchBitVec::row), `stride` is the row width in words. Consumes
-  /// `rng` exactly like the scalar generate() — same draws, same order —
-  /// and, like the BatchBitVec overload, requires the lane's leading
-  /// segment to be clear on entry.
-  void generate(Rng& rng, std::uint64_t* lane_word, std::size_t stride,
-                std::uint64_t lane_bit) const;
 
   /// Counter-based per-trial seed derivation shared by the serial and
   /// parallel experiment harnesses. The seed is a pure function of

@@ -278,6 +278,9 @@ struct WideSweepBackend {
                              spec.scenario.burst_row_stride);
       }
     }
+    if (!ar.lane_states) {
+      ar.lane_states = std::make_unique<simd::LaneRngStates>();
+    }
     if (ar.incorrect.size() < in_group) {
       ar.incorrect.resize(lanes);
     }

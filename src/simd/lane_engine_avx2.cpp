@@ -9,12 +9,15 @@
 namespace nbx::simd {
 
 const LaneKernels& avx2_kernels() {
-  static const LaneKernels k = {{
-      &tier_avx2::run_group_impl<1>,
-      &tier_avx2::run_group_impl<2>,
-      &tier_avx2::run_group_impl<4>,
-      &tier_avx2::run_group_impl<8>,
-  }};
+  static const LaneKernels k = {
+      {
+          &tier_avx2::run_group_impl<1>,
+          &tier_avx2::run_group_impl<2>,
+          &tier_avx2::run_group_impl<4>,
+          &tier_avx2::run_group_impl<8>,
+      },
+      &tier_avx2::lockstep_masks,
+  };
   return k;
 }
 

@@ -8,12 +8,15 @@
 namespace nbx::simd {
 
 const LaneKernels& avx512_kernels() {
-  static const LaneKernels k = {{
-      &tier_avx512::run_group_impl<1>,
-      &tier_avx512::run_group_impl<2>,
-      &tier_avx512::run_group_impl<4>,
-      &tier_avx512::run_group_impl<8>,
-  }};
+  static const LaneKernels k = {
+      {
+          &tier_avx512::run_group_impl<1>,
+          &tier_avx512::run_group_impl<2>,
+          &tier_avx512::run_group_impl<4>,
+          &tier_avx512::run_group_impl<8>,
+      },
+      &tier_avx512::lockstep_masks,
+  };
   return k;
 }
 

@@ -7,12 +7,15 @@
 namespace nbx::simd {
 
 const LaneKernels& scalar_kernels() {
-  static const LaneKernels k = {{
-      &tier_scalar::run_group_impl<1>,
-      &tier_scalar::run_group_impl<2>,
-      &tier_scalar::run_group_impl<4>,
-      &tier_scalar::run_group_impl<8>,
-  }};
+  static const LaneKernels k = {
+      {
+          &tier_scalar::run_group_impl<1>,
+          &tier_scalar::run_group_impl<2>,
+          &tier_scalar::run_group_impl<4>,
+          &tier_scalar::run_group_impl<8>,
+      },
+      &tier_scalar::lockstep_masks,
+  };
   return k;
 }
 

@@ -9,8 +9,10 @@
 // the entire dispatch overhead.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/batch_bitvec.hpp"
@@ -24,6 +26,24 @@ namespace nbx::simd {
 
 class WideMirror;
 
+/// A lane group's xoshiro256** states, structure-of-arrays: word w of
+/// lane l's state is s[w][l], so the lockstep mask layer loads a block
+/// of lanes' words as one vector. Fixed-size (16 KB) for the widest
+/// group.
+struct LaneRngStates {
+  alignas(64) std::uint64_t s[4][kMaxBatchLanes] = {};
+
+  /// Copies in the states of rngs[0 .. lanes).
+  void load(const Rng* rngs, unsigned lanes) {
+    for (unsigned l = 0; l < lanes; ++l) {
+      const std::array<std::uint64_t, 4> st = rngs[l].state();
+      for (std::size_t w = 0; w < 4; ++w) {
+        s[w][l] = st[w];
+      }
+    }
+  }
+};
+
 /// Reusable per-worker scratch (the arena): one thread_local instance
 /// per worker thread, sized on first use and reused for every lane
 /// group after — the batched hot path performs zero heap allocations in
@@ -31,6 +51,10 @@ class WideMirror;
 struct WideArena {
   BatchBitVec mask;                  ///< total_sites x lanes fault mask
   std::vector<Rng> rngs;             ///< one per lane in the group
+  /// rngs as SoA for the lockstep mask layer. On the heap, not inline:
+  /// a thread_local arena's inline bytes are reserved in every thread
+  /// the process starts, wide-engine worker or not.
+  std::unique_ptr<LaneRngStates> lane_states;
   std::vector<std::uint32_t> incorrect;  ///< per-lane wrong-result count
   std::vector<std::uint64_t> nodes;  ///< netlist node words (W per node)
   BitVec lane_mask;                  ///< scalar fallback lane extraction
@@ -44,6 +68,7 @@ struct WideArena {
   [[nodiscard]] std::size_t bytes() const {
     return mask.sites() * mask.lane_words() * sizeof(std::uint64_t) +
            rngs.capacity() * sizeof(Rng) +
+           (lane_states ? sizeof(LaneRngStates) : 0) +
            incorrect.capacity() * sizeof(std::uint32_t) +
            nodes.capacity() * sizeof(std::uint64_t) +
            (lane_mask.size() + 7) / 8 +
@@ -77,9 +102,18 @@ struct WideGroupJob {
 
 /// Per-tier kernel table: run_group[log2(W)] executes one lane group at
 /// W lane words. Exactly the entries a tier TU instantiated.
+/// lockstep_masks is the tier's mask layer for gen.uniform_count()
+/// generators, which run_group calls once per instruction: a fresh mask
+/// of `gen` for lanes [0, lanes) of `mask` (leading gen.sites() rows
+/// clear on entry), lane l drawing from its state in `states` exactly
+/// as MaskGenerator::generate draws from an Rng. Exported so tests can
+/// drive it on every tier directly.
 struct LaneKernels {
   using RunGroupFn = void (*)(const WideGroupJob&);
+  using MaskFn = void (*)(const MaskGenerator& gen, LaneRngStates& states,
+                          unsigned lanes, BatchBitVec& mask);
   RunGroupFn run_group[4] = {};  // W = 1, 2, 4, 8
+  MaskFn lockstep_masks = nullptr;
 };
 
 }  // namespace nbx::simd

@@ -101,6 +101,28 @@ TEST(BatchBitVec, ReshapeRedimensionsAndZeroes) {
   EXPECT_EQ(m.word(1), 0u);
 }
 
+TEST(BatchBitVec, ClearAfterShrinkingReshapeTouchesOnlyTheLiveExtent) {
+  // A worker's arena keeps the largest shape it has held (aluss at 512
+  // lanes) while it runs smaller ones (alush); clearing per instruction
+  // must cost the live shape, not that capacity.
+  BatchBitVec m(100, 8);
+  m.reshape(10, 2);
+  const std::size_t live = m.sites() * m.lane_words();
+  for (std::size_t s = 0; s < m.sites(); ++s) {
+    for (unsigned lane = 0; lane < 2 * kLanesPerWord; lane += 5) {
+      m.set(s, lane, true);
+    }
+  }
+  m.data()[live] = 0xfeed;  // spare capacity past the live rows
+  m.clear_all();
+  for (std::size_t s = 0; s < m.sites(); ++s) {
+    EXPECT_EQ(m.row(s)[0], 0u) << "site " << s;
+    EXPECT_EQ(m.row(s)[1], 0u) << "site " << s;
+  }
+  EXPECT_EQ(m.data()[live], 0xfeedu)
+      << "clear_all() wrote past sites() x lane_words()";
+}
+
 TEST(BatchBitVec, LaneWordsForRoundsUpToAWholeRegister) {
   EXPECT_EQ(lane_words_for(1), 1u);
   EXPECT_EQ(lane_words_for(64), 1u);

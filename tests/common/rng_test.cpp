@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 namespace nbx {
@@ -89,6 +90,27 @@ TEST(Rng, SplitStreamsAreDecorrelatedAndDeterministic) {
     }
   }
   EXPECT_LT(same, 2);
+}
+
+TEST(Rng, SetStateResumesTheSameStream) {
+  Rng a(77);
+  (void)a.next();
+  Rng b(1);
+  b.set_state(a.state());
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(a.next(), b.next());
+    EXPECT_EQ(a.below(2205), b.below(2205));
+  }
+  EXPECT_EQ(a.state(), b.state());
+}
+
+TEST(Rng, XoshiroStepIsNextOnABareState) {
+  Rng rng(5);
+  std::array<std::uint64_t, 4> s = rng.state();
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(xoshiro256ss_step(s[0], s[1], s[2], s[3]), rng.next());
+  }
+  EXPECT_EQ(s, rng.state());
 }
 
 TEST(Rng, SampleWithoutReplacementBasics) {

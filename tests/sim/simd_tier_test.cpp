@@ -8,8 +8,9 @@
 // knob) for the decode-coverage differential — and require:
 //
 //   * the batched seed golden (aluss @ 2%, seed 2026, 5 trials =
-//     98.90625) holds verbatim on every tier, at one lane word (64) and
-//     the full eight-word width (512);
+//     98.90625) holds verbatim on every tier, at one lane word (64), the
+//     full eight-word width (512), and ragged lane counts whose groups
+//     end in a partial lockstep mask block (1, 7, 9, 63, 65, 257, 511);
 //   * every catalogued ALU — covering every decode path: uncoded,
 //     Hamming, TMR, Hsiao, ideal-Hamming, interleaved TMR,
 //     Reed-Solomon, the gate-level TMR read path and the CMOS netlist —
@@ -81,7 +82,9 @@ void expect_golden_at_lanes(unsigned lanes) {
 
 // Forces `tier` through the environment variable (exercising the parse
 // path users hit) and re-runs the pinned seed golden at a single lane
-// word and at the full 512-lane width.
+// word, at the full 512-lane width, and at ragged lane counts: one-lane
+// groups, and every lane-word width with a group that stops inside a
+// lockstep mask block.
 void run_forced_tier_golden(simd::SimdTier tier) {
   if (!simd::tier_supported(tier)) {
     GTEST_SKIP() << "tier '" << simd::tier_name(tier)
@@ -90,8 +93,9 @@ void run_forced_tier_golden(simd::SimdTier tier) {
   EnvTierPin pin(simd::tier_name(tier));
   ASSERT_EQ(simd::active_tier(), tier)
       << "NBX_SIMD_TIER pin did not take effect";
-  expect_golden_at_lanes(64);
-  expect_golden_at_lanes(512);
+  for (const unsigned lanes : {64u, 512u, 1u, 7u, 9u, 63u, 65u, 257u, 511u}) {
+    expect_golden_at_lanes(lanes);
+  }
 }
 
 TEST(SimdTier, ScalarTierReproducesSeedGolden) {
