@@ -30,8 +30,6 @@ struct SharedFlag {
 constexpr SharedFlag kSharedFlags[] = {
     {kThreads, "threads", "--threads N",
      "worker threads (0 = all hardware threads)"},
-    {kLanes, "lanes", "--lanes N",
-     "bit-parallel batch lanes (0 = scalar engine, max 512)"},
     {kTrials, "trials", "--trials N", "trials per workload per point"},
     {kSeed, "seed", "--seed N", "master RNG seed"},
     {kAlus, "alus", "--alus a,b,c", "comma-separated Table-2 ALU names"},
@@ -104,8 +102,8 @@ BenchCli::BenchCli(int argc, const char* const* argv,
       bool as_double;
     };
     static constexpr NumericFlag kNumeric[] = {
-        {kThreads, "threads", false},   {kLanes, "lanes", false},
-        {kTrials, "trials", false},     {kSeed, "seed", false},
+        {kThreads, "threads", false},   {kTrials, "trials", false},
+        {kSeed, "seed", false},
         {kTraceCap, "trace-cap", false},
         {kRegistry, "registry-interval", true},
     };
@@ -150,11 +148,6 @@ void BenchCli::print_help(std::ostream& os) const {
 
 unsigned BenchCli::threads() const {
   return static_cast<unsigned>(args_.get_int("threads", 0));
-}
-
-unsigned BenchCli::lanes(unsigned fallback) const {
-  return static_cast<unsigned>(
-      args_.get_int("lanes", static_cast<std::int64_t>(fallback)));
 }
 
 int BenchCli::trials(int fallback) const {

@@ -1,7 +1,7 @@
 // bench_cli.hpp — the shared bench command line.
 //
-// Every bench front-end takes the same engine knobs (--threads, --lanes,
-// --trials, --seed, --alus, --smoke, --progress, --skip-serial) and the
+// Every bench front-end takes the same engine knobs (--threads, --trials,
+// --seed, --alus, --smoke, --progress, --skip-serial) and the
 // same output sinks (--out, --metrics-out, --trace-out, --trace-cap);
 // before this header each bench re-parsed its own subset by hand, with
 // drifting help text and no unknown-flag diagnostics. A BenchCli is
@@ -31,7 +31,6 @@ namespace nbx::bench {
 /// The shared flag vocabulary. A bench ORs together the flags it takes.
 enum BenchFlag : std::uint32_t {
   kThreads = 1u << 0,     ///< --threads N   (0 = all hardware threads)
-  kLanes = 1u << 1,       ///< --lanes N     (0 = scalar engine)
   kTrials = 1u << 2,      ///< --trials N
   kSeed = 1u << 3,        ///< --seed N
   kAlus = 1u << 4,        ///< --alus a,b,c
@@ -83,7 +82,6 @@ class BenchCli {
   // Shared accessors. Fallbacks are per-bench (e.g. smoke-dependent
   // trial counts), so they are parameters, not baked-in defaults.
   [[nodiscard]] unsigned threads() const;
-  [[nodiscard]] unsigned lanes(unsigned fallback = 0) const;
   [[nodiscard]] int trials(int fallback) const;
   [[nodiscard]] std::uint64_t seed(std::uint64_t fallback) const;
   /// --alus as a list; empty when the flag is absent.

@@ -21,12 +21,16 @@
 // xoshiro/Floyd kernel) and sets them in the transposed mask, a random
 // test-and-set per site. The two rates evaluate the same streams, so
 // mask_2pct_vs_0pct is the gate's view of that layer: it falls as mask
-// generation gets slower. Every regime is bit-identical — bench_batch
-// gates identity, this bench gates speed.
+// generation gets slower.
+//
+// Every timed wide-engine point must be bit-identical to the scalar
+// engine's (mean, stddev, ci95, samples) at every tier x width; a
+// divergence exits 1, independent of --gate.
 //
 //   bench_simd [--trials N] [--percent P] [--seed N] [--alus a,b]
 //              [--smoke] [--out PATH] [--gate PATH]
 //
+// --percent and --trials outside [0, 100] and [1, 10^6] exit 2.
 // --gate PATH reads floors from a JSON file (bench/perf_floor.json in
 // the source tree; see docs/TESTING.md) and exits 1 when a measured
 // headline ratio lands below its floor. Results append to
@@ -41,6 +45,7 @@
 #include "bench/bench_cli.hpp"
 #include "bench/bench_registry.hpp"
 #include "common/batch_bitvec.hpp"
+#include "fault/sweep.hpp"
 #include "sim/bench_json.hpp"
 #include "sim/table_render.hpp"
 #include "sim/trial_engine.hpp"
@@ -55,23 +60,37 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Best-of-N wall-clock for one data point; returns trials/second.
-double measure_tps(const TrialEngine& engine, const IAlu& alu,
-                   const std::vector<std::vector<Instruction>>& streams,
-                   const SweepSpec& spec, int repetitions) {
+/// One data point timed best-of-N: its throughput, the point itself
+/// (every repetition computes the same one) and the summed wall time.
+struct Timed {
+  double tps = 0.0;
+  DataPoint point;
+  double seconds = 0.0;
+};
+
+Timed measure_tps(const TrialEngine& engine, const IAlu& alu,
+                  const std::vector<std::vector<Instruction>>& streams,
+                  const SweepSpec& spec, int repetitions) {
   const double trials_total =
       static_cast<double>(spec.trials_per_workload) *
       static_cast<double>(streams.size());
-  double best = 0.0;
+  Timed t;
   for (int rep = 0; rep < repetitions; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)engine.point(alu, streams, spec);
+    t.point = engine.point(alu, streams, spec);
     const double s = seconds_since(t0);
+    t.seconds += s;
     if (s > 0.0) {
-      best = std::max(best, trials_total / s);
+      t.tps = std::max(t.tps, trials_total / s);
     }
   }
-  return best;
+  return t;
+}
+
+/// Bit-identity of two points: EXPECT_EQ-style, not within a tolerance.
+bool same_point(const DataPoint& a, const DataPoint& b) {
+  return a.mean_percent_correct == b.mean_percent_correct &&
+         a.stddev == b.stddev && a.ci95 == b.ci95 && a.samples == b.samples;
 }
 
 /// Minimal floor-file reader: finds `"key"` and parses the number after
@@ -104,6 +123,11 @@ int main(int argc, char** argv) {
        {"--gate PATH", "enforce perf floors from PATH (exit 1 below floor)"}});
   if (cli.done()) {
     return cli.status();
+  }
+  const std::string bad_value = sweep_flag_message(cli.args());
+  if (!bad_value.empty()) {
+    std::cerr << cli.args().program() << ": " << bad_value << "\n";
+    return 2;
   }
   bench::ScopedBenchRegistry bench_registry(cli, "simd");
   const bool smoke = cli.smoke();
@@ -155,18 +179,21 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   double wall_total = 0.0;
   std::size_t trials_total = 0;
+  const std::size_t trials_per_measure = static_cast<std::size_t>(trials) *
+                                         streams.size() *
+                                         static_cast<std::size_t>(repetitions);
 
   for (const std::string& name : names) {
     const auto alu = make_alu(name);
 
-    // Same-run scalar-engine baseline (batch_lanes = 0).
+    // Same-run scalar-engine baseline (batch_lanes = 0): the throughput
+    // reference and the point every wide run must reproduce bit for bit.
     const TrialEngine scalar_engine{ParallelConfig{1, 0}};
-    const auto t0 = std::chrono::steady_clock::now();
-    const DataPoint scalar_point =
-        scalar_engine.point(*alu, streams, spec);
-    wall_total += seconds_since(t0);
-    const double scalar_tps =
+    const Timed scalar =
         measure_tps(scalar_engine, *alu, streams, spec, repetitions);
+    const double scalar_tps = scalar.tps;
+    wall_total += scalar.seconds;
+    trials_total += trials_per_measure;
     report.metrics.emplace_back("scalar_trials_per_second_" + name,
                                 scalar_tps);
 
@@ -182,27 +209,26 @@ int main(int argc, char** argv) {
         ParallelConfig par;
         par.batch_lanes = lanes;
         const TrialEngine wide_engine(par);
-        const double tps =
+        const Timed wide =
             measure_tps(wide_engine, *alu, streams, spec, repetitions);
+        const double tps = wide.tps;
+        wall_total += wide.seconds;
+        trials_total += trials_per_measure;
+        if (!same_point(wide.point, scalar.point)) {
+          all_identical = false;
+          std::cout << "DIVERGED: " << name << " on tier "
+                    << simd::tier_name(tier) << " at " << lanes
+                    << " lanes differs from the scalar engine\n";
+        }
         if (lanes == 64) {
           tps64 = tps;
         }
         if (lanes == 512) {
           tps512 = tps;
-          const DataPoint wide_point =
-              wide_engine.point(*alu, streams, spec);
-          const bool same =
-              wide_point.mean_percent_correct ==
-                  scalar_point.mean_percent_correct &&
-              wide_point.stddev == scalar_point.stddev &&
-              wide_point.samples == scalar_point.samples;
-          all_identical = all_identical && same;
         }
         const std::string tag = std::string(simd::tier_name(tier)) + "_" +
                                 std::to_string(lanes);
         report.metrics.emplace_back("tps_" + tag + "_" + name, tps);
-        trials_total += static_cast<std::size_t>(trials) * streams.size() *
-                        static_cast<std::size_t>(repetitions);
         t.add_row({std::string(simd::tier_name(tier)),
                    std::to_string(lanes), fmt_double(tps, 0),
                    fmt_double(scalar_tps > 0.0 ? tps / scalar_tps : 0.0, 2),
@@ -243,11 +269,15 @@ int main(int argc, char** argv) {
     const TrialEngine wide_engine(par);
     SweepSpec at = spec;
     at.percents = {2.0};
-    tps_2pct = measure_tps(wide_engine, *alu, streams, at, repetitions);
+    const Timed at_2pct =
+        measure_tps(wide_engine, *alu, streams, at, repetitions);
     at.percents = {0.0};
-    tps_0pct = measure_tps(wide_engine, *alu, streams, at, repetitions);
-    trials_total += 2 * static_cast<std::size_t>(trials) * streams.size() *
-                    static_cast<std::size_t>(repetitions);
+    const Timed at_0pct =
+        measure_tps(wide_engine, *alu, streams, at, repetitions);
+    tps_2pct = at_2pct.tps;
+    tps_0pct = at_0pct.tps;
+    wall_total += at_2pct.seconds + at_0pct.seconds;
+    trials_total += 2 * trials_per_measure;
   }
   const double mask_ratio = tps_0pct > 0.0 ? tps_2pct / tps_0pct : 0.0;
   std::cout << "mask layer (" << names.front() << ", 512 lanes, tier "

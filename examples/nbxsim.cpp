@@ -78,6 +78,11 @@ int main(int argc, char** argv) {
     std::cerr << bad_flags << "\n";
     return usage(args.program());
   }
+  const std::string bad_value = sweep_flag_message(args);
+  if (!bad_value.empty()) {
+    std::cerr << bad_value << "\n";
+    return usage(args.program());
+  }
   if (args.has("list")) {
     return run_list();
   }

@@ -44,8 +44,8 @@ class LutCoreAlu : public CoreAlu {
   static constexpr std::size_t kLutCount = 32;
 
   /// The underlying LUTs and their site offsets, in slice-major role
-  /// order (exposed so the batched engine can mirror this exact
-  /// structure — see alu/batch_alu.cpp).
+  /// order (exposed so the wide lane engine can mirror this exact
+  /// structure — see simd/wide_mirror.cpp).
   [[nodiscard]] const CodedLut& lut_at(std::size_t i) const {
     return luts_[i];
   }

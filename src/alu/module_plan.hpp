@@ -1,5 +1,5 @@
 // module_plan.hpp — the module-level execution plan, written once and
-// instantiated at two lane widths.
+// instantiated at every lane width.
 //
 // The paper's module-level techniques (§2.2) are mask-segment layouts
 // plus an order of operations:
@@ -8,17 +8,14 @@
 //   SpaceRedundantAlu  [core0 | core1 | core2 | voter]
 //   TimeRedundantAlu   [pass0 | pass1 | pass2 | voter | 3x9 storage bits]
 //
-// Before this header the scalar wrappers (module_alu.cpp) and their
-// bit-parallel mirrors (batch_alu.cpp) each hand-maintained that layout:
-// two copies of the segment offsets, the 9-bit stored-result slots, the
-// storage-fault accounting and the vote wiring, which had to be kept in
-// lock step for the batched engine's bit-identity guarantee. Here the
-// plan is a set of templates over an *execution context* — a small
+// The plan is a set of templates over an *execution context* — a small
 // policy type that knows how to evaluate one core pass, absorb one
-// stored-result slot and run one vote at its lane width. ScalarModuleExec
-// (one trial, std::uint8_t results) and BatchModuleExec (64 trial lanes,
-// word-sliced results) are the two contexts; both wrappers now consume
-// the same plan, so the layout literally cannot diverge.
+// stored-result slot and run one vote at its lane width. Two contexts
+// consume it: ScalarModuleExec below (one trial, std::uint8_t results,
+// used by module_alu.cpp) and WideModuleExec in
+// simd/lane_engine_inl.hpp (64..512 trial lanes, lane-sliced results).
+// The segment offsets, the 9-bit stored-result slots and the vote wiring
+// therefore exist once, and the two engines cannot disagree about them.
 //
 // An execution context provides:
 //   Result / Valid      — lane value and lane predicate types
@@ -32,10 +29,8 @@
 //   emit_single(r)               — publish an unvoted single-pass result
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
-#include "alu/batch_alu.hpp"
 #include "alu/module_alu.hpp"
 #include "alu/voter.hpp"
 #include "obs/counters.hpp"
@@ -150,111 +145,5 @@ struct ScalarModuleExec {
 
   void emit_single(const Result& r) { out.value = r; }
 };
-
-// ---------------------------------------------------------------------
-// Batched context: up to 64 trial lanes, used by batch_alu.cpp. Results
-// are word-sliced (w[bit] holds that result bit across lanes); the lane
-// predicates are 64-bit words.
-
-struct BatchModuleExec {
-  struct Result {
-    std::uint64_t w[8];
-  };
-  using Valid = std::uint64_t;
-
-  Opcode op;
-  std::uint8_t a;
-  std::uint8_t b;
-  const BatchBitVec* mask;  ///< null = fault-free in every lane
-  std::uint64_t active;
-  ModuleStats* stats;
-  const IBatchCore* const* cores;  ///< 1 (single/time) or 3 (space)
-  const IBatchVoter* voter;        ///< null for single
-  BatchAluOutput* out;
-
-  static constexpr std::uint64_t valid_true() { return ~std::uint64_t{0}; }
-  [[nodiscard]] std::size_t core_sites() const {
-    return cores[0]->fault_sites();
-  }
-  [[nodiscard]] std::size_t voter_sites() const {
-    return voter->fault_sites();
-  }
-
-  void eval_core(std::size_t core, std::size_t offset, Result& r) {
-    cores[core]->eval(op, a, b, mask, offset, active, r.w, stats);
-  }
-
-  void absorb_stored(Result& r, Valid& v, std::size_t slot) {
-    if (mask == nullptr) {
-      return;
-    }
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      r.w[bit] ^= mask->word(slot + bit);
-    }
-    v = ~mask->word(slot + 8);
-    if (stats != nullptr && stats->obs != nullptr) {
-      std::uint64_t hits = 0;
-      for (std::size_t bit = 0; bit < kStoredBitsPerPass; ++bit) {
-        hits += static_cast<std::uint64_t>(
-            std::popcount(mask->word(slot + bit) & active));
-      }
-      stats->obs->module_level.storage_faults += hits;
-    }
-  }
-
-  void vote(const Result r[3], const Valid v[3], std::size_t voter_off) {
-    voter->vote(r[0].w, r[1].w, r[2].w, v[0], v[1], v[2], mask, voter_off,
-                active, *out, stats);
-  }
-
-  void emit_single(const Result& r) {
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      out->value[bit] = r.w[bit];
-    }
-    out->valid = ~std::uint64_t{0};
-    out->disagreement = 0;
-  }
-};
-
-// ---------------------------------------------------------------------
-// Per-lane scalar fallback: the lane-generic bridge for module
-// structures without a word-parallel mirror (hardware-LUT ablation
-// cores, future ALUs). Each active lane's mask column is extracted into
-// a scalar BitVec and run through IAlu::compute; the scalar outputs are
-// scattered back into the lane-sliced result. The scalar compute()
-// accounts its own per-lane stats (computations, votes, ...), so the
-// aggregate counters still equal the sum of the per-lane scalar runs.
-
-inline void compute_lanes_via_scalar(const IAlu& alu, Opcode op,
-                                     std::uint8_t a, std::uint8_t b,
-                                     const BatchBitVec* mask,
-                                     std::uint64_t active,
-                                     BatchAluOutput& out,
-                                     ModuleStats* stats) {
-  out = BatchAluOutput{};
-  out.valid = 0;
-  BitVec lane_mask(alu.fault_sites());
-  for (std::uint64_t rest = active; rest != 0; rest &= rest - 1) {
-    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
-    MaskView view;
-    if (mask != nullptr) {
-      mask->extract_lane(lane, 0, lane_mask);
-      view = MaskView(lane_mask, 0, lane_mask.size());
-    }
-    const AluOutput r = alu.compute(op, a, b, view, stats);
-    const std::uint64_t sel = std::uint64_t{1} << lane;
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      if ((r.value >> bit) & 1u) {
-        out.value[bit] |= sel;
-      }
-    }
-    if (r.valid) {
-      out.valid |= sel;
-    }
-    if (r.disagreement) {
-      out.disagreement |= sel;
-    }
-  }
-}
 
 }  // namespace nbx::plan

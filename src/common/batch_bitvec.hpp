@@ -5,13 +5,12 @@
 // patterns into one machine word; here the packed dimension is the Monte
 // Carlo *trial*. A BatchBitVec holds `lane_words` 64-bit words per fault
 // site (a contiguous row), and bit L%64 of row word L/64 is the site's
-// value in trial lane L. With one lane word this is the original 64-lane
-// layout; with 2/4/8 lane words a row is exactly one 128/256/512-bit
-// vector register, which is what the SIMD lane engine (src/simd/) loads
-// per site. The scalar engine's BitVec is the transpose (site-packed,
-// one trial); extracting a lane of a BatchBitVec yields exactly the
-// BitVec that trial would have seen, which is what makes the batched
-// engine bit-identical to the scalar one (see
+// value in trial lane L. With 1/2/4/8 lane words a row is exactly one
+// 64/128/256/512-bit vector register, which is what the SIMD lane engine
+// (src/simd/) loads per site. The scalar engine's BitVec is the
+// transpose (site-packed, one trial); extracting a lane of a BatchBitVec
+// yields exactly the BitVec that trial would have seen, which is what
+// makes the batched engine bit-identical to the scalar one (see
 // tests/sim/batch_differential_test.cpp).
 #pragma once
 
@@ -36,13 +35,6 @@ inline constexpr unsigned kMaxBatchLanes = kLanesPerWord * kMaxLaneWords;
 /// Broadcasts a scalar bit across all 64 lanes of one lane word.
 inline std::uint64_t lane_broadcast(bool v) {
   return v ? ~std::uint64_t{0} : std::uint64_t{0};
-}
-
-/// Per-lane 2:1 mux: lane L of the result is hi's lane when sel's lane is
-/// 1, else lo's lane. The workhorse of the mux-tree LUT evaluation.
-inline std::uint64_t lane_blend(std::uint64_t lo, std::uint64_t hi,
-                                std::uint64_t sel) {
-  return lo ^ ((lo ^ hi) & sel);
 }
 
 /// Word with the low `lanes` lane bits set (the "active lanes" mask of a
@@ -78,18 +70,6 @@ class BatchBitVec {
   /// Words per site row (the lane capacity is 64 * lane_words()).
   [[nodiscard]] std::size_t lane_words() const { return lane_words_; }
   [[nodiscard]] bool empty() const { return sites_ == 0; }
-
-  /// The first 64 lanes of one site — the historical single-word
-  /// accessor, valid only for lane_words() == 1 layouts (all the legacy
-  /// 64-lane evaluators).
-  [[nodiscard]] std::uint64_t word(std::size_t site) const {
-    assert(lane_words_ == 1);
-    return words_[site];
-  }
-  [[nodiscard]] std::uint64_t& word(std::size_t site) {
-    assert(lane_words_ == 1);
-    return words_[site];
-  }
 
   /// All lanes of one site: `lane_words()` contiguous words.
   [[nodiscard]] const std::uint64_t* row(std::size_t site) const {

@@ -107,73 +107,6 @@ std::vector<std::uint8_t> Netlist::evaluate(std::uint64_t input_values,
   return nodes;
 }
 
-void Netlist::evaluate_batch(const std::uint64_t* input_words,
-                             const BatchBitVec* mask, std::size_t offset,
-                             std::vector<std::uint64_t>& nodes) const {
-  assert(mask == nullptr || offset + gates_.size() <= mask->sites());
-  nodes.assign(gates_.size(), 0);
-  auto read = [&](Signal s) -> std::uint64_t {
-    switch (s.kind()) {
-      case Signal::Kind::kInput:
-        return input_words[s.index()];
-      case Signal::Kind::kNode:
-        return nodes[s.index()];
-      case Signal::Kind::kConstZero:
-        return 0;
-      case Signal::Kind::kConstOne:
-        return ~std::uint64_t{0};
-    }
-    return 0;
-  };
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const Gate& g = gates_[i];
-    std::uint64_t v = 0;
-    switch (g.op) {
-      case GateOp::kBuf:
-        v = read(g.fanin[0]);
-        break;
-      case GateOp::kNot:
-        v = ~read(g.fanin[0]);
-        break;
-      case GateOp::kAndN:
-        v = ~std::uint64_t{0};
-        for (const Signal s : g.fanin) {
-          v &= read(s);
-        }
-        break;
-      case GateOp::kOrN:
-        v = 0;
-        for (const Signal s : g.fanin) {
-          v |= read(s);
-        }
-        break;
-      case GateOp::kXorN:
-        v = 0;
-        for (const Signal s : g.fanin) {
-          v ^= read(s);
-        }
-        break;
-    }
-    nodes[i] = v ^ (mask != nullptr ? mask->word(offset + i) : 0);
-  }
-}
-
-std::uint64_t Netlist::word_of(Signal s, const std::uint64_t* input_words,
-                               const std::vector<std::uint64_t>& nodes) const {
-  switch (s.kind()) {
-    case Signal::Kind::kInput:
-      return input_words[s.index()];
-    case Signal::Kind::kNode:
-      assert(s.index() < nodes.size());
-      return nodes[s.index()];
-    case Signal::Kind::kConstZero:
-      return 0;
-    case Signal::Kind::kConstOne:
-      return ~std::uint64_t{0};
-  }
-  return 0;
-}
-
 bool Netlist::value_of(Signal s, std::uint64_t input_values,
                        const std::vector<std::uint8_t>& nodes) const {
   switch (s.kind()) {

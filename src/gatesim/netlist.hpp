@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/batch_bitvec.hpp"
 #include "fault/mask_view.hpp"
 
 namespace nbx {
@@ -59,8 +58,8 @@ class Signal {
 /// numbered in creation order (node i occupies mask bit i).
 class Netlist {
  public:
-  /// One gate of the DAG. Public so lane-sliced evaluators outside this
-  /// class (the SIMD lane engine's templated evaluate; see
+  /// One gate of the DAG. Public so the lane-sliced evaluator outside
+  /// this class (the wide lane engine's eval_netlist; see
   /// src/simd/lane_engine_inl.hpp) can walk the structure via gates().
   struct Gate {
     GateOp op;
@@ -103,25 +102,9 @@ class Netlist {
   [[nodiscard]] bool value_of(Signal s, std::uint64_t input_values,
                               const std::vector<std::uint8_t>& nodes) const;
 
-  /// Lane-sliced evaluation for the batched trial engine: bit L of
-  /// `input_words[i]` is input i in trial lane L, and the same slicing
-  /// holds for the node words written into `nodes` (resized to
-  /// node_count()). `mask` overlays this netlist's fault-site segment
-  /// starting at `offset` (null = fault-free). Classic parallel-pattern
-  /// simulation: one pass computes all 64 lanes, bit-identical per lane
-  /// to evaluate().
-  void evaluate_batch(const std::uint64_t* input_words,
-                      const BatchBitVec* mask, std::size_t offset,
-                      std::vector<std::uint64_t>& nodes) const;
-
-  /// Lane-sliced analogue of value_of over an evaluate_batch result.
-  [[nodiscard]] std::uint64_t word_of(
-      Signal s, const std::uint64_t* input_words,
-      const std::vector<std::uint64_t>& nodes) const;
-
   /// The gate DAG in topological (creation/site) order — gate i's output
-  /// is node i and fault site i. Read-only structural view for external
-  /// lane-sliced evaluators.
+  /// is node i and fault site i. Read-only structural view for the
+  /// lane-sliced evaluator.
   [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
 
   /// Per-operator gate counts (debugging / area accounting).

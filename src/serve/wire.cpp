@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "check/json_value.hpp"
+#include "fault/sweep.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "sim/manifest.hpp"
@@ -134,13 +135,13 @@ bool parse_sweep_fields(const JsonValue& doc, SweepRequest* req,
   for (const JsonValue& p : percents->items()) {
     const std::optional<double> v =
         p.is_number() ? p.as_double() : std::nullopt;
-    if (!v.has_value() || !std::isfinite(*v) || *v < 0.0 || *v > 100.0) {
+    if (!v.has_value() || !valid_fault_percent(*v)) {
       return fail(error, "field 'percents' entries must be in [0, 100]");
     }
     req->spec.percents.push_back(*v);
   }
   const std::optional<std::int64_t> t = trials->as_i64();
-  if (!t.has_value() || *t < 1 || *t > 1'000'000) {
+  if (!t.has_value() || !valid_trials_per_workload(*t)) {
     return fail(error, "field 'trials' must be in [1, 1000000]");
   }
   req->spec.trials_per_workload = static_cast<int>(*t);

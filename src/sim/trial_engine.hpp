@@ -7,8 +7,8 @@
 // composition exactly once:
 //
 //   * `threads` / `chunking` — how work items fan out over the pool;
-//   * `batch_lanes`          — scalar IAlu vs bit-parallel BatchAlu
-//                              sweep backend (0 = scalar);
+//   * `batch_lanes`          — scalar IAlu trials vs the SIMD-wide lane
+//                              engine (src/simd/; 0 = scalar);
 //   * anatomy                — the sweep_anatomy/point_anatomy variants
 //                              attach an obs::Counters sink per item and
 //                              fold per percent in deterministic order;
@@ -186,7 +186,7 @@ class TrialEngine {
 
   /// Evaluates `alu` at every percent in the spec. Backend selection
   /// follows parallel().batch_lanes: 0 = scalar IAlu trials, >= 1 =
-  /// bit-parallel BatchAlu lane groups; both bit-identical.
+  /// lane groups on the SIMD-wide lane engine; both bit-identical.
   [[nodiscard]] std::vector<DataPoint> sweep(
       const IAlu& alu,
       const std::vector<std::vector<Instruction>>& streams,

@@ -11,20 +11,20 @@
 // an AVX-512 instantiation into a binary path reached on a plain-SSE
 // machine.
 //
-// The algorithms are line-for-line ports of the proven 64-lane engine:
-//   * BatchLut::read (lut/batch_lut.cpp) — mux-tree, TMR vote, Hamming
-//     syndrome decode, Hsiao/RS scalar fallback, all stats included;
-//   * Netlist::evaluate_batch (gatesim/netlist.cpp);
-//   * BatchModuleExec (alu/module_plan.hpp) driving the shared
-//     compute_single/space/time plans;
-//   * BatchedSweepBackend::run_item (the historical 64-lane group loop).
-// The one new algorithm is the lockstep mask layer (lockstep_masks),
-// which draws exactly MaskGenerator's per-lane sequence for a block of
-// lanes at once.
-// Porting rule: std::uint64_t lane words become LaneVec<W>, broadcasts
-// become splats, popcount(x & active) sums over lane words. Nothing else
-// may change — every tier at every W must be bit-identical to the scalar
-// trial engine, including anatomy counters (nbxcheck simd-differential,
+// What the kernels compute, each lane-sliced over 64*W trial lanes:
+//   * LUT reads (lut_read) — a Shannon mux tree over the fault-XORed
+//     stored words; TMR majority-votes three trees; Hamming decodes the
+//     syndrome as lane-parallel predicates; Hsiao/RS lanes whose segment
+//     holds a fault fall back to the scalar decoder;
+//   * gate netlists (eval_netlist) — parallel-pattern simulation of the
+//     CMOS cores and voter;
+//   * modules (WideModuleExec) — the shared compute_single/space/time
+//     plans of alu/module_plan.hpp at W lane words;
+//   * the fault masks (lockstep_masks) — exactly MaskGenerator's
+//     per-lane draws, for a block of lanes at once;
+//   * one lane group end to end (run_group_impl).
+// Every tier at every W must be bit-identical to the scalar trial engine,
+// including anatomy counters (nbxcheck simd-differential,
 // tests/sim/simd_tier_test.cpp).
 //
 // NOTE this header has no include guard on purpose: it is included once
@@ -41,7 +41,6 @@
 #include "alu/module_plan.hpp"
 #include "common/batch_bitvec.hpp"
 #include "gatesim/netlist.hpp"
-#include "lut/batch_lut.hpp"
 #include "lut/coded_lut.hpp"
 #include "obs/counters.hpp"
 #include "simd/lane_kernels.hpp"
@@ -118,7 +117,7 @@ struct LaneVec {
   }
 };
 
-/// Per-lane 2:1 mux (the wide lane_blend).
+/// Per-lane 2:1 mux: lane L is hi's when sel's lane L is 1, else lo's.
 template <std::size_t W>
 inline LaneVec<W> blend(const LaneVec<W>& lo, const LaneVec<W>& hi,
                         const LaneVec<W>& sel) {
@@ -156,8 +155,8 @@ inline LaneVec<W> active_mask(unsigned lanes) {
 
 // --------------------------------------------------------------- mux tree
 
-// Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves, same bound as the
-// 64-lane engine (lut/batch_lut.cpp).
+// Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves. For k <= 6 data
+// widths the Hamming code needs r <= 7 check bits, so 128 covers both.
 constexpr std::size_t kMuxLeavesMax = 128;
 
 /// Shannon mux tree over wide lane vectors; `leaf(i)` supplies leaf i on
@@ -184,54 +183,57 @@ LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
 
 // ------------------------------------------------------------- LUT reads
 //
-// Wide port of BatchLut::read over the BatchLut's precomputed tables.
-// `mask` is always non-null here: the group kernel owns a real (possibly
-// all-zero) mask, exactly like the historical batched backend.
+// Each reader returns every lane's addressed bit as the faulted LUT
+// delivers it, bit-identical per lane to CodedLut::read. `mask` is always
+// a real (possibly all-zero) mask: the group kernel owns one. `stats` is
+// null unless an anatomy sink is attached; it then carries the sink
+// (stats->obs) for the decode counters, into the scalar decoder too.
+
+/// The decode-outcome counters a read tallies into, or null.
+inline obs::CodeLayerCounters* code_sink(const LutAccessStats* stats,
+                                         LutCoding coding) {
+  return stats != nullptr ? code_layer_of(stats->obs, coding) : nullptr;
+}
 
 template <std::size_t W>
-LaneVec<W> read_tmr(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
-  const auto k = static_cast<std::size_t>(t.inputs());
-  const std::vector<std::uint64_t>& golden = t.golden_leaves();
+  const std::size_t n = t.golden.size();
   V copies[3];
   for (std::size_t c = 0; c < 3; ++c) {
-    copies[c] = lane_mux<W>(k, addr_bits, [&](std::size_t s) {
-      return V::splat(golden[s]) ^ V::load(mask.row(offset + t.tmr_site(c, s)));
+    const std::uint32_t* site = t.tmr_sites.data() + c * n;
+    copies[c] = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+      return V::splat(t.golden[s]) ^ V::load(mask.row(offset + site[s]));
     });
   }
   const V voted = (copies[0] & copies[1]) | (copies[1] & copies[2]) |
                   (copies[0] & copies[2]);
-  if (stats != nullptr) {
-    stats->accesses += popcnt(active, active);
-    const V disagree = (copies[0] ^ copies[1]) | (copies[1] ^ copies[2]);
-    stats->tmr_disagreements += popcnt(disagree, active);
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, t.coding())) {
-      const V g = lane_mux<W>(
-          k, addr_bits, [&](std::size_t s) { return V::splat(golden[s]); });
-      const V err = (copies[0] ^ g) | (copies[1] ^ g) | (copies[2] ^ g);
-      const V wrong = voted ^ g;
-      oc->reads += popcnt(active, active);
-      oc->clean += popcnt(~err, active);
-      oc->corrected += popcnt(err & ~wrong, active);
-      oc->miscorrected += popcnt(wrong, active);
-    }
+  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+    // Compare the copies and the vote against the golden addressed bit.
+    const V g = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+      return V::splat(t.golden[s]);
+    });
+    const V err = (copies[0] ^ g) | (copies[1] ^ g) | (copies[2] ^ g);
+    const V wrong = voted ^ g;
+    oc->reads += popcnt(active, active);
+    oc->clean += popcnt(~err, active);
+    oc->corrected += popcnt(err & ~wrong, active);
+    oc->miscorrected += popcnt(wrong, active);
   }
   return voted;
 }
 
 template <std::size_t W>
-LaneVec<W> read_hamming(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_hamming(const WideLut& t, const LaneVec<W>* addr_bits,
                         const BatchBitVec& mask, std::size_t offset,
                         const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
-  const auto k = static_cast<std::size_t>(t.inputs());
-  const std::vector<std::uint64_t>& golden = t.golden_leaves();
-  const std::size_t r = t.check_bits();
+  const std::size_t r = t.syndrome_sites.size();
   // The addressed data bit as the faulted string stores it.
-  const V faulted = lane_mux<W>(k, addr_bits, [&](std::size_t s) {
-    return V::splat(golden[s]) ^ V::load(mask.row(offset + s));
+  const V faulted = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+    return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
   });
   // Lane-sliced syndrome: bit j per lane = XOR of that lane's mask bits
   // over check group j.
@@ -240,74 +242,64 @@ LaneVec<W> read_hamming(const BatchLut& t, const LaneVec<W>* addr_bits,
   V any = V::zero();
   for (std::size_t j = 0; j < r; ++j) {
     V s = V::zero();
-    for (const std::uint32_t site : t.syndrome_sites()[j]) {
+    for (const std::uint32_t site : t.syndrome_sites[j]) {
       s ^= V::load(mask.row(offset + site));
     }
     syn[j] = s;
     any |= s;
   }
-  // Lanes whose syndrome equals the addressed position.
+  // Per lane, against the addressed codeword position: eq — the syndrome
+  // names it, so the corrector repairs (or miscorrects) exactly this
+  // bit; fp — a failing check group covers it, the naive corrector's
+  // false-positive toggle.
   V eq = V::ones();
+  V fp = V::zero();
   for (std::size_t j = 0; j < r; ++j) {
-    const V pos_j = lane_mux<W>(k, addr_bits, [&](std::size_t a) {
-      return V::splat(t.pos_leaves()[j][a]);
+    const V pos_j = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t a) {
+      return V::splat(t.pos_leaves[j][a]);
     });
     eq &= ~(syn[j] ^ pos_j);
+    fp |= syn[j] & pos_j;
   }
-  // Does each lane's syndrome name a data position?
+  // Does each lane's syndrome name a data position? The syndrome words
+  // drive a mux over the 2^r constant leaves.
   const V is_data = lane_mux<W>(r, syn, [&](std::size_t s) {
-    return V::splat(t.is_data_leaves()[s]);
+    return V::splat(t.is_data_leaves[s]);
   });
-  obs::CodeLayerCounters* oc =
-      stats != nullptr ? code_layer_of(stats->obs, t.coding()) : nullptr;
-  if (oc != nullptr) {
-    // Word-parallel flip census over the stored segment.
+  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+    // Word-parallel flip census over the stored segment: `once` marks
+    // lanes with >= 1 flip, `twice` lanes with >= 2.
     V once = V::zero();
     V twice = V::zero();
-    for (std::size_t s = 0; s < t.fault_sites(); ++s) {
+    for (std::size_t s = 0; s < t.sites; ++s) {
       const V w = V::load(mask.row(offset + s));
       twice |= once & w;
       once |= w;
     }
     oc->reads += popcnt(active, active);
     oc->clean += popcnt(~once, active);
+    // Zero syndrome despite flips: an aliased multi-bit fault.
     oc->undetected += popcnt(once & ~any, active);
+    // A data syndrome is a repair with one flip, a miscorrection with
+    // two or more.
     oc->corrected += popcnt(is_data & once & ~twice, active);
     oc->miscorrected += popcnt(is_data & twice, active);
-  }
-  if (t.coding() == LutCoding::kHammingIdeal) {
-    if (stats != nullptr) {
-      stats->accesses += popcnt(active, active);
-      stats->corrections += popcnt(any & is_data, active);
-      stats->detected_only += popcnt(any & ~is_data, active);
-    }
-    if (oc != nullptr) {
+    if (t.coding == LutCoding::kHamming) {
+      oc->false_positive += popcnt(any & ~is_data & fp, active);
+      oc->detected_uncorrectable += popcnt(any & ~is_data & ~fp, active);
+    } else {
       oc->detected_uncorrectable += popcnt(any & ~is_data, active);
     }
+  }
+  if (t.coding == LutCoding::kHammingIdeal) {
     return faulted ^ eq;
   }
-  // Naive corrector (the paper's, §5): the false-positive toggle.
-  V fp = V::zero();
-  for (std::size_t j = 0; j < r; ++j) {
-    const V pos_j = lane_mux<W>(k, addr_bits, [&](std::size_t a) {
-      return V::splat(t.pos_leaves()[j][a]);
-    });
-    fp |= syn[j] & pos_j;
-  }
-  if (stats != nullptr) {
-    stats->accesses += popcnt(active, active);
-    stats->corrections += popcnt(any & (is_data | fp), active);
-    stats->detected_only += popcnt(any & ~is_data & ~fp, active);
-  }
-  if (oc != nullptr) {
-    oc->false_positive += popcnt(any & ~is_data & fp, active);
-    oc->detected_uncorrectable += popcnt(any & ~is_data & ~fp, active);
-  }
+  // eq implies a data syndrome, so the two toggle sources are disjoint.
   return faulted ^ eq ^ (any & ~is_data & fp);
 }
 
 template <std::size_t W>
-LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_fallback(const WideLut& t, const LaneVec<W>* addr_bits,
                          const BatchBitVec& mask, std::size_t offset,
                          const LaneVec<W>& active, LutAccessStats* stats,
                          BitVec& lane_mask) {
@@ -315,21 +307,19 @@ LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
   // Extension codings (Hsiao, Reed-Solomon) keep the scalar decoder for
   // touched lanes; untouched lanes share one golden mux.
   V touched = V::zero();
-  for (std::size_t s = 0; s < t.fault_sites(); ++s) {
+  for (std::size_t s = 0; s < t.sites; ++s) {
     touched |= V::load(mask.row(offset + s));
   }
-  const std::vector<std::uint64_t>& golden = t.golden_leaves();
-  V out = lane_mux<W>(static_cast<std::size_t>(t.inputs()), addr_bits,
-                      [&](std::size_t s) { return V::splat(golden[s]); });
-  if (stats != nullptr) {
-    stats->accesses += popcnt(~touched, active);
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, t.coding())) {
-      oc->reads += popcnt(~touched, active);
-      oc->clean += popcnt(~touched, active);
-    }
+  V out = lane_mux<W>(t.inputs, addr_bits,
+                      [&](std::size_t s) { return V::splat(t.golden[s]); });
+  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+    // Untouched lanes are clean reads; the scalar decoder below
+    // classifies the touched ones itself.
+    oc->reads += popcnt(~touched, active);
+    oc->clean += popcnt(~touched, active);
   }
-  if (lane_mask.size() != t.fault_sites()) {
-    lane_mask = BitVec(t.fault_sites());
+  if (lane_mask.size() != t.sites) {
+    lane_mask = BitVec(t.sites);
   }
   for (std::size_t wi = 0; wi < W; ++wi) {
     for (std::uint64_t rest = active.w[wi] & touched.w[wi]; rest != 0;
@@ -338,13 +328,13 @@ LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
           wi * kLanesPerWord + static_cast<unsigned>(std::countr_zero(rest)));
       mask.extract_lane(lane, offset, lane_mask);
       std::uint32_t addr = 0;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(t.inputs()); ++j) {
+      for (std::size_t j = 0; j < t.inputs; ++j) {
         addr |= static_cast<std::uint32_t>(
                     (addr_bits[j].w[wi] >> (lane % kLanesPerWord)) & 1u)
                 << j;
       }
-      const bool bit = t.coded().read(
-          addr, MaskView(lane_mask, 0, t.fault_sites()), stats);
+      const bool bit =
+          t.lut->read(addr, MaskView(lane_mask, 0, t.sites), stats);
       const std::uint64_t sel = std::uint64_t{1} << (lane % kLanesPerWord);
       out.w[wi] = (out.w[wi] & ~sel) | (bit ? sel : 0);
     }
@@ -353,22 +343,17 @@ LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
 }
 
 template <std::size_t W>
-LaneVec<W> lut_read(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats,
                     BitVec& lane_mask) {
   using V = LaneVec<W>;
-  assert(offset + t.fault_sites() <= mask.sites());
-  switch (t.coding()) {
+  assert(offset + t.sites <= mask.sites());
+  switch (t.coding) {
     case LutCoding::kNone:
-      if (stats != nullptr) {
-        stats->accesses += popcnt(active, active);
-      }
-      return lane_mux<W>(static_cast<std::size_t>(t.inputs()), addr_bits,
-                         [&](std::size_t s) {
-                           return V::splat(t.golden_leaves()[s]) ^
-                                  V::load(mask.row(offset + s));
-                         });
+      return lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+        return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
+      });
     case LutCoding::kTmr:
     case LutCoding::kTmrInterleaved:
       return read_tmr<W>(t, addr_bits, mask, offset, active, stats);
@@ -385,7 +370,7 @@ LaneVec<W> lut_read(const BatchLut& t, const LaneVec<W>* addr_bits,
 
 // --------------------------------------------------------- netlist eval
 
-/// Wide port of Netlist::word_of.
+/// A signal's lane row: an input, a node row of `nodes`, or a constant.
 template <std::size_t W>
 inline LaneVec<W> signal_word(Signal s, const LaneVec<W>* inputs,
                               const std::uint64_t* nodes) {
@@ -402,8 +387,9 @@ inline LaneVec<W> signal_word(Signal s, const LaneVec<W>* inputs,
   return LaneVec<W>::zero();
 }
 
-/// Wide port of Netlist::evaluate_batch: node i's lane row lands at
-/// nodes[i*W .. i*W+W).
+/// Parallel-pattern evaluation of `nl` under the mask segment at
+/// `offset`, bit-identical per lane to Netlist::evaluate: node i's lane
+/// row lands at nodes[i*W .. i*W+W).
 template <std::size_t W>
 void eval_netlist(const Netlist& nl, const LaneVec<W>* inputs,
                   const BatchBitVec& mask, std::size_t offset,
@@ -445,7 +431,8 @@ void eval_netlist(const Netlist& nl, const LaneVec<W>* inputs,
 
 // ------------------------------------------------------- cores & voters
 
-/// Wide result of one module computation (the BatchAluOutput analogue).
+/// Lane-sliced result of one module computation: value[b] holds result
+/// bit b across lanes; valid/disagreement are lane predicates.
 template <std::size_t W>
 struct WideOut {
   LaneVec<W> value[8];
@@ -453,7 +440,8 @@ struct WideOut {
   LaneVec<W> disagreement;
 };
 
-/// Wide port of BatchLutCore::eval — the lane-sliced ripple carry.
+/// A LutCoreAlu pass: 32 LUT reads with a lane-sliced ripple carry
+/// (carries diverge between lanes after the first faulted read).
 template <std::size_t W>
 void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
                    std::uint8_t b, const BatchBitVec& mask,
@@ -491,7 +479,7 @@ void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
   }
 }
 
-/// Wide port of BatchCmosCore::eval.
+/// A CmosCoreAlu pass: the core netlist on broadcast operands.
 template <std::size_t W>
 void eval_cmos_core(const WideMirror::Core& core, Opcode op, std::uint8_t a,
                     std::uint8_t b, const BatchBitVec& mask,
@@ -513,17 +501,16 @@ void eval_cmos_core(const WideMirror::Core& core, Opcode op, std::uint8_t a,
   }
 }
 
-/// Wide port of account_batch_vote (alu/batch_alu.cpp).
+/// Module-vote anatomy: which copies the majority outvoted, and lanes
+/// where the voter's own faults moved its output (`valid_self` adds the
+/// valid-bit vote's).
 template <std::size_t W>
-void account_vote(ModuleStats* stats, const LaneVec<W> x[8],
+void account_vote(obs::Counters& sink, const LaneVec<W> x[8],
                   const LaneVec<W> y[8], const LaneVec<W> z[8],
                   const WideOut<W>& out, const LaneVec<W>& valid_self,
                   const LaneVec<W>& active) {
   using V = LaneVec<W>;
-  if (stats == nullptr || stats->obs == nullptr) {
-    return;
-  }
-  auto& m = stats->obs->module_level;
+  auto& m = sink.module_level;
   m.votes += popcnt(active, active);
   V dx = V::zero();
   V dy = V::zero();
@@ -541,7 +528,7 @@ void account_vote(ModuleStats* stats, const LaneVec<W> x[8],
   m.voter_self_faults += popcnt(self, active);
 }
 
-/// Wide port of BatchLutVoter::vote.
+/// A LutVoter vote: 8 value LUTs and the valid-majority LUT.
 template <std::size_t W>
 void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
               const LaneVec<W> y[8], const LaneVec<W> z[8],
@@ -566,14 +553,12 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
   out.valid = lut_read<W>(blk.luts[8], vaddr, mask, offset + blk.offsets[8],
                           active, ls, lane_mask);
   if (stats != nullptr) {
-    stats->voter_disagreements += popcnt(out.disagreement, active);
-    stats->invalid_results += popcnt(~out.valid, active);
     const V majv = (vx & vy) | (vy & vz) | (vx & vz);
-    account_vote<W>(stats, x, y, z, out, out.valid ^ majv, active);
+    account_vote<W>(*stats->obs, x, y, z, out, out.valid ^ majv, active);
   }
 }
 
-/// Wide port of BatchCmosVoter::vote.
+/// A CmosVoter vote: the voter netlist over the three copies.
 template <std::size_t W>
 void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
                const LaneVec<W> y[8], const LaneVec<W> z[8],
@@ -594,16 +579,15 @@ void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
   out.valid = V::ones();
   out.disagreement = signal_word<W>(voter.error, inputs, nodes);
   if (stats != nullptr) {
-    stats->voter_disagreements += popcnt(out.disagreement, active);
-    account_vote<W>(stats, x, y, z, out, V::zero(), active);
+    account_vote<W>(*stats->obs, x, y, z, out, V::zero(), active);
   }
 }
 
 // ------------------------------------------------------ module execution
 
-/// Wide execution context for the shared module plan
-/// (plan::compute_single/space/time in alu/module_plan.hpp) — the
-/// BatchModuleExec analogue at W lane words.
+/// Execution context of the shared module plan
+/// (plan::compute_single/space/time in alu/module_plan.hpp) at W lane
+/// words.
 template <std::size_t W>
 struct WideModuleExec {
   struct Result {
@@ -616,7 +600,8 @@ struct WideModuleExec {
   std::uint8_t b;
   const BatchBitVec* mask;  ///< never null in the wide engine
   LaneVec<W> active;
-  ModuleStats* stats;
+  ModuleStats* stats;       ///< null unless an anatomy sink (stats->obs)
+                            ///< is attached
   const WideMirror* mirror;
   std::uint64_t* nodes;     ///< arena netlist scratch
   BitVec* lane_mask;        ///< arena scalar-decode scratch
@@ -647,7 +632,7 @@ struct WideModuleExec {
       r.w[bit] ^= V::load(mask->row(slot + bit));
     }
     v = ~V::load(mask->row(slot + 8));
-    if (stats != nullptr && stats->obs != nullptr) {
+    if (stats != nullptr) {
       std::uint64_t hits = 0;
       for (std::size_t bit = 0; bit < plan::kStoredBitsPerPass; ++bit) {
         hits += popcnt(V::load(mask->row(slot + bit)), active);
@@ -663,7 +648,7 @@ struct WideModuleExec {
                   voter_off, active, *out, stats, *lane_mask);
     } else {
       // The CMOS module has no data-valid datapath (v[] unused), exactly
-      // like BatchCmosVoter.
+      // like the scalar CmosVoter.
       cmos_vote<W>(vt, r[0].w, r[1].w, r[2].w, *mask, voter_off, active,
                    *out, stats, nodes);
     }
@@ -678,8 +663,9 @@ struct WideModuleExec {
   }
 };
 
-/// Wide port of plan::compute_lanes_via_scalar — the per-lane scalar
-/// bridge for module structures without a word-parallel mirror.
+/// The per-lane scalar bridge for module structures without a
+/// word-parallel mirror: each active lane's mask column runs through
+/// IAlu::compute and the outputs scatter back into the lane slices.
 template <std::size_t W>
 void compute_lanes_scalar(const IAlu& alu, Opcode op, std::uint8_t a,
                           std::uint8_t b, const BatchBitVec& mask,
@@ -854,8 +840,9 @@ inline void lockstep_masks(const MaskGenerator& gen, LaneRngStates& states,
 
 // ---------------------------------------------------------- group kernel
 
-/// One lane group end to end: the wide port of the historical
-/// BatchedSweepBackend::run_item body (sim/trial_engine.cpp, PR 2).
+/// One lane group end to end: per instruction, fresh masks for every
+/// lane, the mirror evaluated across all lanes, and each lane scored
+/// against the golden result into incorrect[].
 template <std::size_t W>
 void run_group_impl(const WideGroupJob& job) {
   using V = LaneVec<W>;
@@ -869,11 +856,12 @@ void run_group_impl(const WideGroupJob& job) {
   assert(ar.incorrect.size() >= in_group);
 
   obs::Counters* oc = job.anatomy;
-  ModuleStats stats;
-  if (oc != nullptr) {
-    stats.obs = oc;
-    stats.lut.obs = oc;
-  }
+  // Carries the anatomy sink into the kernels and the scalar code they
+  // fall back on (hw cores, faulted Hsiao/RS lanes); null when off.
+  ModuleStats sink;
+  sink.obs = oc;
+  sink.lut.obs = oc;
+  ModuleStats* stats = oc != nullptr ? &sink : nullptr;
   // The i.i.d. counting policies draw through the lockstep mask layer
   // on the group's states as SoA, loaded once here. Wear-out schedules
   // (job.gens: each lane runs at its own effective rate), Bernoulli and
@@ -905,13 +893,11 @@ void run_group_impl(const WideGroupJob& job) {
       oc->injection.faults_injected += flipped;
     }
     if (mir.is_fallback()) {
-      // The scalar compute() bumps `computations` per lane itself.
       compute_lanes_scalar<W>(mir.scalar_alu(), ins.op, ins.a, ins.b, mask,
-                              active, out, &stats, ar.lane_mask);
+                              active, out, stats, ar.lane_mask);
     } else {
-      stats.computations += popcnt(active, active);
       WideModuleExec<W> ex{ins.op, ins.a,     ins.b,
-                           &mask,  active,    &stats,
+                           &mask,  active,    stats,
                            &mir,   ar.nodes.data(), &ar.lane_mask,
                            &out};
       switch (mir.level()) {

@@ -40,7 +40,7 @@ TEST(BenchCli, HelpListsOnlyAcceptedSharedFlagsPlusExtras) {
   EXPECT_NE(help.find("grid edge length"), std::string::npos);
   EXPECT_NE(help.find("--help"), std::string::npos);
   // Flags the bench did not opt into stay out of its help.
-  EXPECT_EQ(help.find("--lanes"), std::string::npos);
+  EXPECT_EQ(help.find("--trials"), std::string::npos);
   EXPECT_EQ(help.find("--smoke"), std::string::npos);
 }
 
@@ -87,14 +87,14 @@ TEST(BenchCli, UnparsableNumericValueIsRejectedNotDefaulted) {
 }
 
 TEST(BenchCli, NumericValidationOnlyCoversAcceptedFlags) {
-  // --lanes is not in this bench's accepted set, so its (bad) value is
+  // --trials is not in this bench's accepted set, so its (bad) value is
   // reported as an unknown flag, not an invalid number.
-  const BenchCli bad_lanes = make_cli({"--lanes", "abc"}, kThreads);
-  EXPECT_TRUE(bad_lanes.done());
-  EXPECT_EQ(bad_lanes.status(), 2);
-  EXPECT_NE(bad_lanes.error().find("unknown flag '--lanes'"),
+  const BenchCli bad_trials = make_cli({"--trials", "abc"}, kThreads);
+  EXPECT_TRUE(bad_trials.done());
+  EXPECT_EQ(bad_trials.status(), 2);
+  EXPECT_NE(bad_trials.error().find("unknown flag '--trials'"),
             std::string::npos)
-      << "diagnostic was: " << bad_lanes.error();
+      << "diagnostic was: " << bad_trials.error();
   // And a well-formed value sails through with no error recorded.
   const BenchCli good = make_cli({"--threads", "4"}, kThreads);
   EXPECT_FALSE(good.done());
@@ -102,20 +102,19 @@ TEST(BenchCli, NumericValidationOnlyCoversAcceptedFlags) {
 }
 
 TEST(BenchCli, SharedFlagOutsideTheAcceptedSetIsRejected) {
-  // --lanes is a real shared flag, but this bench only takes --threads.
-  const BenchCli cli = make_cli({"--lanes", "64"}, kThreads);
+  // --trials is a real shared flag, but this bench only takes --threads.
+  const BenchCli cli = make_cli({"--trials", "64"}, kThreads);
   EXPECT_TRUE(cli.done());
   EXPECT_EQ(cli.status(), 2);
 }
 
 TEST(BenchCli, AcceptedFlagsParseAndFallbacksFill) {
   const BenchCli cli =
-      make_cli({"--threads", "8", "--lanes", "32", "--seed", "7",
-                "--alus", "aluss,aluns", "--smoke", "--out", "x.json"},
-               kThreads | kLanes | kTrials | kSeed | kAlus | kSmoke | kOut);
+      make_cli({"--threads", "8", "--seed", "7", "--alus", "aluss,aluns",
+                "--smoke", "--out", "x.json"},
+               kThreads | kTrials | kSeed | kAlus | kSmoke | kOut);
   ASSERT_FALSE(cli.done());
   EXPECT_EQ(cli.threads(), 8u);
-  EXPECT_EQ(cli.lanes(0), 32u);
   EXPECT_EQ(cli.trials(320), 320);  // absent -> fallback
   EXPECT_EQ(cli.seed(2026), 7u);
   EXPECT_EQ(cli.alus(), (std::vector<std::string>{"aluss", "aluns"}));
@@ -126,10 +125,9 @@ TEST(BenchCli, AcceptedFlagsParseAndFallbacksFill) {
 }
 
 TEST(BenchCli, DefaultsWhenNoFlagsGiven) {
-  const BenchCli cli = make_cli({}, kThreads | kLanes | kTraceCap);
+  const BenchCli cli = make_cli({}, kThreads | kTraceCap);
   ASSERT_FALSE(cli.done());
   EXPECT_EQ(cli.threads(), 0u);  // 0 = all hardware threads
-  EXPECT_EQ(cli.lanes(64), 64u);
   EXPECT_EQ(cli.trace_cap(100000), 100000u);
   EXPECT_FALSE(cli.smoke());
   EXPECT_TRUE(cli.out().empty());

@@ -13,7 +13,7 @@ TEST(BatchBitVec, StartsAllZero) {
   EXPECT_EQ(m.sites(), 100u);
   EXPECT_FALSE(m.empty());
   for (std::size_t s = 0; s < m.sites(); ++s) {
-    EXPECT_EQ(m.word(s), 0u);
+    EXPECT_EQ(m.row(s)[0], 0u);
   }
 }
 
@@ -21,7 +21,7 @@ TEST(BatchBitVec, SetGetFlipAddressTheRightLane) {
   BatchBitVec m(5);
   m.set(3, 17, true);
   EXPECT_TRUE(m.get(3, 17));
-  EXPECT_EQ(m.word(3), std::uint64_t{1} << 17);
+  EXPECT_EQ(m.row(3)[0], std::uint64_t{1} << 17);
   EXPECT_FALSE(m.get(3, 16));
   EXPECT_FALSE(m.get(2, 17));
   m.flip(3, 17);
@@ -29,18 +29,18 @@ TEST(BatchBitVec, SetGetFlipAddressTheRightLane) {
   m.flip(3, 63);
   EXPECT_TRUE(m.get(3, 63));
   m.set(3, 63, false);
-  EXPECT_EQ(m.word(3), 0u);
+  EXPECT_EQ(m.row(3)[0], 0u);
 }
 
 TEST(BatchBitVec, ClearAllZeroesEveryLane) {
   BatchBitVec m(8);
   Rng rng(7);
   for (std::size_t s = 0; s < m.sites(); ++s) {
-    m.word(s) = rng.next();
+    m.row(s)[0] = rng.next();
   }
   m.clear_all();
   for (std::size_t s = 0; s < m.sites(); ++s) {
-    EXPECT_EQ(m.word(s), 0u);
+    EXPECT_EQ(m.row(s)[0], 0u);
   }
 }
 
@@ -50,7 +50,7 @@ TEST(BatchBitVec, ExtractLaneIsTheTranspose) {
   BatchBitVec m(40);
   Rng rng(99);
   for (std::size_t s = 0; s < m.sites(); ++s) {
-    m.word(s) = rng.next();
+    m.row(s)[0] = rng.next();
   }
   BitVec lane_bits(40);
   for (unsigned lane = 0; lane < kLanesPerWord; lane += 13) {
@@ -98,7 +98,7 @@ TEST(BatchBitVec, ReshapeRedimensionsAndZeroes) {
   m.set(9, 255, true);
   m.reshape(2, 1);
   EXPECT_EQ(m.sites(), 2u);
-  EXPECT_EQ(m.word(1), 0u);
+  EXPECT_EQ(m.row(1)[0], 0u);
 }
 
 TEST(BatchBitVec, ClearAfterShrinkingReshapeTouchesOnlyTheLiveExtent) {
@@ -145,18 +145,9 @@ TEST(BatchBitVec, ExtractLaneHonoursOffset) {
   EXPECT_FALSE(window.get(1));
 }
 
-TEST(BatchLaneHelpers, BroadcastBlendAndMask) {
+TEST(BatchLaneHelpers, BroadcastAndMask) {
   EXPECT_EQ(lane_broadcast(false), 0u);
   EXPECT_EQ(lane_broadcast(true), ~std::uint64_t{0});
-  // blend: sel bit chooses hi, else lo.
-  const std::uint64_t lo = 0x00FF00FF00FF00FFull;
-  const std::uint64_t hi = 0x0F0F0F0F0F0F0F0Full;
-  EXPECT_EQ(lane_blend(lo, hi, 0u), lo);
-  EXPECT_EQ(lane_blend(lo, hi, ~std::uint64_t{0}), hi);
-  const std::uint64_t sel = 0xFFFFFFFF00000000ull;
-  const std::uint64_t mix = lane_blend(lo, hi, sel);
-  EXPECT_EQ(mix & ~sel, lo & ~sel);
-  EXPECT_EQ(mix & sel, hi & sel);
   EXPECT_EQ(lane_mask_for(1), 1u);
   EXPECT_EQ(lane_mask_for(7), 0x7Fu);
   EXPECT_EQ(lane_mask_for(64), ~std::uint64_t{0});

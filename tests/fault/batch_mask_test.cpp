@@ -49,7 +49,7 @@ TEST(BatchMaskGenerator, ZeroPercentWritesNothing) {
   BatchBitVec batch(256);
   gen.generate(rng, batch, 9);
   for (std::size_t s = 0; s < batch.sites(); ++s) {
-    EXPECT_EQ(batch.word(s), 0u);
+    EXPECT_EQ(batch.row(s)[0], 0u);
   }
 }
 
@@ -77,7 +77,7 @@ TEST(BatchMaskGenerator, LanesAreIndependentColumns) {
   const std::uint64_t allowed = (std::uint64_t{1} << 3) |
                                 (std::uint64_t{1} << 48);
   for (std::size_t s = 0; s < 300; ++s) {
-    EXPECT_EQ(batch.word(s) & ~allowed, 0u);
+    EXPECT_EQ(batch.row(s)[0] & ~allowed, 0u);
   }
 }
 
@@ -95,7 +95,7 @@ TEST(BatchMaskGenerator, LeadingSegmentOfLargerBatchForDatapathScope) {
     EXPECT_EQ(batch.get(s, 0), scalar.get(s));
   }
   for (std::size_t s = 100; s < 160; ++s) {
-    EXPECT_EQ(batch.word(s), 0u);
+    EXPECT_EQ(batch.row(s)[0], 0u);
   }
 }
 

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "alu/alu_factory.hpp"
 #include "fault/mask_generator.hpp"
@@ -82,58 +81,13 @@ TEST(SeedGolden, BatchedEngineReproducesTheGoldenPoint) {
   EXPECT_EQ(p.ci95, kRef.ci95);
 }
 
-TEST(SeedGolden, BenchBatchJsonSchema) {
-  // The BENCH_batch.json document shape bench_batch emits (documented
-  // in README.md): the standard BenchReport envelope plus the batch
-  // metrics CI reads the speedup gate from.
-  BenchReport r;
-  r.bench = "batch";
-  r.seed = 2026;
-  r.threads = 1;
-  r.trials_per_workload = 320;
-  r.trials = 640;
-  r.wall_seconds = 0.25;
-  r.metrics.emplace_back("lanes", 64.0);
-  r.metrics.emplace_back("fault_percent", 2.0);
-  r.metrics.emplace_back("scalar_seconds_aluss", 1.0);
-  r.metrics.emplace_back("batched_seconds_aluss", 0.25);
-  r.metrics.emplace_back("speedup_aluss", 4.0);
-  r.metrics.emplace_back("min_speedup", 4.0);
-  r.metrics.emplace_back("scalar_trials_per_second", 640.0);
-  r.metrics.emplace_back("batched_trials_per_second", 2560.0);
-  r.extra.emplace_back("mode", "full");
-  r.extra.emplace_back("bit_identical", "yes");
-  r.extra.emplace_back("simd_tier", "avx2");
-  DataPoint p;
-  p.alu = "aluss";
-  p.fault_percent = 2.0;
-  p.mean_percent_correct = 98.90625;
-  p.samples = 640;
-  r.sweeps.push_back({"aluss", {p}});
-
-  std::ostringstream os;
-  write_bench_json(os, r);
-  const std::string out = os.str();
-  for (const char* key :
-       {"\"bench\": \"batch\"", "\"seed\": 2026", "\"threads\": 1",
-        "\"lanes\": 64", "\"fault_percent\": 2",
-        "\"scalar_seconds_aluss\"", "\"batched_seconds_aluss\"",
-        "\"speedup_aluss\": 4", "\"min_speedup\": 4",
-        "\"scalar_trials_per_second\"", "\"batched_trials_per_second\"",
-        "\"bit_identical\": \"yes\"", "\"simd_tier\": \"avx2\"",
-        "\"alu\": \"aluss\"",
-        "\"mean_percent_correct\": 98.90625"}) {
-    EXPECT_NE(out.find(key), std::string::npos) << "missing " << key;
-  }
-}
-
 TEST(SeedGolden, SaveBenchJsonCreatesMissingDirectories) {
   BenchReport r;
-  r.bench = "batch";
+  r.bench = "simd";
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "nbx_bench_json_test";
   std::filesystem::remove_all(dir);
-  const std::string target = (dir / "nested" / "BENCH_batch.json").string();
+  const std::string target = (dir / "nested" / "BENCH_simd.json").string();
   EXPECT_EQ(save_bench_json(r, target), target);
   std::ifstream in(target);
   EXPECT_TRUE(in.good());

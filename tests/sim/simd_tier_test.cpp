@@ -15,7 +15,13 @@
 //     Hamming, TMR, Hsiao, ideal-Hamming, interleaved TMR,
 //     Reed-Solomon, the gate-level TMR read path and the CMOS netlist —
 //     produces DataPoints and anatomy counters bit-identical to the
-//     scalar trial engine under every tier.
+//     scalar trial engine under every tier, at one full lane word (64)
+//     and a ragged two-word group (96), at 2% and at a dense 25% whose
+//     masks put several flips into most LUT segments;
+//   * the structural mirror evaluates every catalogued ALU word-parallel
+//     except the gate-level TMR read path, which falls back to per-lane
+//     scalar compute (a silent fallback would pass every bit-identity
+//     test and show only as a slowdown).
 //
 // Tiers the binary or the CPU cannot run are GTEST_SKIPped (visible in
 // the log), never silently passed: a green run on an AVX-512 machine
@@ -30,6 +36,7 @@
 #include "goldens.hpp"
 #include "sim/experiment.hpp"
 #include "simd/simd_dispatch.hpp"
+#include "simd/wide_mirror.hpp"
 
 namespace nbx {
 namespace {
@@ -119,7 +126,7 @@ void run_decode_coverage(simd::SimdTier tier) {
                  << "' not compiled in or not supported by this CPU";
   }
   SweepSpec spec;
-  spec.percents = {2.0};
+  spec.percents = {2.0, 25.0};
   spec.trials_per_workload = 2;
   spec.seed = 20260808;
   const auto streams = paper_streams(spec.seed);
@@ -133,24 +140,31 @@ void run_decode_coverage(simd::SimdTier tier) {
     const SweepAnatomy base =
         TrialEngine(scalar_cfg).sweep_anatomy(*alu, streams, spec);
 
-    ParallelConfig wide_cfg;
-    wide_cfg.batch_lanes = 96;  // ragged two-word group: 64 + 32 lanes
-    const SweepAnatomy wide =
-        TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec);
+    // One full lane word, and a ragged two-word group (64 + 32 lanes).
+    for (const unsigned lanes : {64u, 96u}) {
+      ParallelConfig wide_cfg;
+      wide_cfg.batch_lanes = lanes;
+      const SweepAnatomy wide =
+          TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec);
+      const std::string where = s.name + " lanes=" + std::to_string(lanes) +
+                                " tier=" +
+                                std::string(simd::tier_name(tier));
 
-    ASSERT_EQ(wide.points.size(), base.points.size()) << s.name;
-    for (std::size_t i = 0; i < base.points.size(); ++i) {
-      EXPECT_EQ(wide.points[i].mean_percent_correct,
-                base.points[i].mean_percent_correct)
-          << s.name << " tier=" << simd::tier_name(tier);
-      EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << s.name;
-      EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << s.name;
-    }
-    ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << s.name;
-    for (std::size_t i = 0; i < base.metrics.size(); ++i) {
-      EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
-          << s.name << " anatomy diverged, tier="
-          << simd::tier_name(tier);
+      ASSERT_EQ(wide.points.size(), base.points.size()) << where;
+      for (std::size_t i = 0; i < base.points.size(); ++i) {
+        EXPECT_EQ(wide.points[i].mean_percent_correct,
+                  base.points[i].mean_percent_correct)
+            << where << " percent=" << spec.percents[i];
+        EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << where;
+        EXPECT_EQ(wide.points[i].ci95, base.points[i].ci95) << where;
+        EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << where;
+      }
+      ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << where;
+      for (std::size_t i = 0; i < base.metrics.size(); ++i) {
+        EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
+            << where << " percent=" << spec.percents[i]
+            << ": anatomy diverged";
+      }
     }
   }
 }
@@ -165,6 +179,53 @@ TEST(SimdTier, Avx2TierDecodesEveryAluLikeTheScalarEngine) {
 
 TEST(SimdTier, Avx512TierDecodesEveryAluLikeTheScalarEngine) {
   run_decode_coverage(simd::SimdTier::kAvx512);
+}
+
+// Fault sites the mirror's mask segments cover: its cores, its voter,
+// and a time-redundant module's 3 x 9 stored-result bits.
+std::size_t mirrored_sites(const simd::WideMirror& m) {
+  std::size_t sites = 0;
+  for (const simd::WideMirror::Core& c : m.cores()) {
+    sites += c.sites;
+  }
+  if (m.level() == simd::WideMirror::Level::kTime) {
+    sites = 3 * sites + kTimeRedundancyStorageBits;
+  }
+  if (m.voter() != nullptr) {
+    sites += m.voter()->sites;
+  }
+  return sites;
+}
+
+TEST(WideMirror, CataloguedLutAndCmosAlusAreWordParallel) {
+  for (const AluSpec& s : all_specs()) {
+    if (s.bit == BitLevel::kTmrHw) {
+      continue;
+    }
+    const auto alu = make_alu(s.name);
+    ASSERT_NE(alu, nullptr) << s.name;
+    const auto mirror = simd::WideMirror::create(*alu);
+    EXPECT_FALSE(mirror->is_fallback()) << s.name;
+    EXPECT_EQ(&mirror->scalar_alu(), alu.get()) << s.name;
+    EXPECT_EQ(mirrored_sites(*mirror), s.expected_sites) << s.name;
+  }
+}
+
+TEST(WideMirror, GateLevelLutReadPathFallsBackToScalarLanes) {
+  std::size_t hw = 0;
+  for (const AluSpec& s : all_specs()) {
+    if (s.bit != BitLevel::kTmrHw) {
+      continue;
+    }
+    ++hw;
+    const auto alu = make_alu(s.name);
+    ASSERT_NE(alu, nullptr) << s.name;
+    const auto mirror = simd::WideMirror::create(*alu);
+    EXPECT_TRUE(mirror->is_fallback()) << s.name;
+    EXPECT_TRUE(mirror->cores().empty()) << s.name;
+    EXPECT_EQ(mirror->voter(), nullptr) << s.name;
+  }
+  EXPECT_GT(hw, 0u) << "no hw variant catalogued (alunhw, ...)";
 }
 
 TEST(SimdTier, UnsupportedEnvRequestClampsDownNeverUp) {
