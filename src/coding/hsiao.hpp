@@ -50,6 +50,12 @@ class HsiaoCode {
   HsiaoStatus detect_and_correct(BitVec& data,
                                  const BitVec& stored_checks) const;
 
+  /// H column (bitmask over the check bits) of data bit `index`; check
+  /// bit j's column is the unit vector 1 << j.
+  [[nodiscard]] std::uint32_t data_column(std::size_t index) const {
+    return data_cols_[index];
+  }
+
   /// Minimum check bits for SEC-DED over `data_bits`: smallest r such that
   /// the number of available distinct odd-weight r-columns, excluding the
   /// r unit vectors, is at least data_bits.

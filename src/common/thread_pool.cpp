@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "obs/metrics.hpp"
 
@@ -131,7 +132,13 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
     ++epoch_;
   }
   wake_cv_.notify_all();
-  drain(/*is_worker=*/false);  // the caller participates
+  std::exception_ptr error;
+  try {
+    drain(/*is_worker=*/false);  // the caller participates
+  } catch (...) {
+    error = std::current_exception();
+    next_.store(n);  // hand out nothing more
+  }
   std::unique_lock<std::mutex> lk(mu_);
   // Wait for every worker to have finished the epoch (not just for the
   // counter to be exhausted) so `body` cannot dangle.
@@ -143,6 +150,27 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
   chunks_metric_ = nullptr;
   steals_metric_ = nullptr;
   busy_us_metric_ = nullptr;
+  if (error) {
+    std::rethrow_exception(error);
+  }
+}
+
+void SharedPool::parallel_for(std::size_t n, std::size_t chunk,
+                              const std::function<void(std::size_t)>& body) {
+  bool idle = false;
+  if (!busy_.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
+    ThreadPool pool(threads_);
+    pool.parallel_for(n, chunk, body);
+    return;
+  }
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } const release{busy_};
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(threads_);
+  }
+  pool_->parallel_for(n, chunk, body);
 }
 
 }  // namespace nbx

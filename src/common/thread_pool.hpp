@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -49,7 +50,10 @@ class ThreadPool {
   /// consecutive indices from a shared counter. The calling thread
   /// participates; returns after every index has completed. `chunk` 0
   /// picks a heuristic (~4 chunks per thread). body must be safe to
-  /// call concurrently for distinct i.
+  /// call concurrently for distinct i. If body throws on the calling
+  /// thread, no further chunks are handed out; the workers' chunks in
+  /// flight finish, and the exception is rethrown with the pool ready
+  /// for the next job.
   void parallel_for(std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t)>& body);
 
@@ -80,6 +84,26 @@ class ThreadPool {
   obs::MetricCounter* chunks_metric_ = nullptr;
   obs::MetricCounter* steals_metric_ = nullptr;
   obs::MetricCounter* busy_us_metric_ = nullptr;
+};
+
+/// A ThreadPool started by its first job and kept for every later one,
+/// for an owner that runs many short jobs: its workers are spawned and
+/// joined once, not per job. A job that finds the pool busy (a
+/// concurrent or nested caller) runs on a temporary pool of its own.
+class SharedPool {
+ public:
+  /// `threads` as for ThreadPool.
+  explicit SharedPool(unsigned threads) : threads_(threads) {}
+
+  /// ThreadPool::parallel_for on the kept pool, or on a temporary one
+  /// while the kept pool is busy.
+  void parallel_for(std::size_t n, std::size_t chunk,
+                    const std::function<void(std::size_t)>& body);
+
+ private:
+  unsigned threads_;
+  std::atomic<bool> busy_{false};  ///< a job is running on pool_
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace nbx

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 
 #include "serve/wire.hpp"
 
@@ -127,13 +128,13 @@ void Server::stop() {
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
     conns.swap(connections_);
   }
-  for (std::thread& t : conns) {
-    t.join();
+  for (Connection& c : conns) {
+    c.thread.join();
   }
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -148,6 +149,8 @@ void Server::accept_loop() {
     p.fd = listen_fd_;
     p.events = POLLIN;
     const int pr = poll(&p, 1, 100);
+    const std::lock_guard<std::mutex> lock(conn_mu_);
+    reap_finished();
     if (pr <= 0) {
       continue;
     }
@@ -155,8 +158,29 @@ void Server::accept_loop() {
     if (fd < 0) {
       continue;
     }
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back([this, fd] { connection_loop(fd); });
+    Connection& c = connections_.emplace_back();
+    try {
+      c.thread = std::thread([this, fd, &c] {
+        connection_loop(fd);
+        c.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it (out of threads or mappings): the client
+      // sees the connection close, and the daemon keeps accepting.
+      close(fd);
+      connections_.pop_back();
+    }
+  }
+}
+
+void Server::reap_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 

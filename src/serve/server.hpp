@@ -9,16 +9,19 @@
 // Threading model: one accept thread, one thread per connection (the
 // expected client population is a handful of designers' tools, not ten
 // thousand sockets — and each connection multiplexes any number of
-// sequential requests). stop() closes the listener, lets every
-// connection finish the request it is currently serving, then joins —
-// the clean-drain contract the integration test pins down.
+// sequential requests). The accept thread joins finished connection
+// threads as it goes, so a daemon holds threads (and their stacks) only
+// for live connections, however many have come and gone. stop() closes
+// the listener, lets every connection finish the request it is
+// currently serving, then joins — the clean-drain contract the
+// integration test pins down.
 #pragma once
 
 #include <atomic>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/service.hpp"
 
@@ -53,8 +56,17 @@ class Server {
   [[nodiscard]] const SweepService& service() const { return service_; }
 
  private:
+  /// One connection thread; `done` is raised as its last act.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   void accept_loop();
   void connection_loop(int fd);
+  /// Joins and drops the connections whose thread has finished. Caller
+  /// holds conn_mu_.
+  void reap_finished();
 
   ServerConfig cfg_;
   SweepService service_;
@@ -63,7 +75,7 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // guarded by conn_mu_
 };
 
 }  // namespace nbx::serve

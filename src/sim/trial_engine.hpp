@@ -30,6 +30,7 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -168,12 +169,17 @@ concept TrialBackend = requires(B& b, const B& cb, std::size_t i) {
   b.run_item(i);
 };
 
-/// The unified trial executor. Construction is cheap (the thread pool is
-/// created per execute() call); engines are freely copyable values.
+/// The unified trial executor. Construction is cheap: the worker threads
+/// start with the first parallel execute() and serve every later one.
+/// Engines are freely copyable values; copies share those threads.
 class TrialEngine {
  public:
   TrialEngine() = default;
-  explicit TrialEngine(const ParallelConfig& par) : par_(par) {}
+  explicit TrialEngine(const ParallelConfig& par)
+      : par_(par),
+        pool_(resolve_threads(par.threads) > 1
+                  ? std::make_shared<SharedPool>(par.threads)
+                  : nullptr) {}
 
   [[nodiscard]] const ParallelConfig& parallel() const { return par_; }
 
@@ -216,7 +222,7 @@ class TrialEngine {
       const SweepSpec& spec) const;
 
   /// Runs a backend's whole item space under this engine's scheduling:
-  /// serial for threads <= 1 (or a single item), the shared ThreadPool
+  /// serial for threads <= 1 (or a single item), the engine's pool
   /// otherwise, each item timed under the backend's profiler stage.
   template <TrialBackend B>
   void execute(B& backend) const {
@@ -234,8 +240,7 @@ class TrialEngine {
         run(i);
       }
     } else {
-      ThreadPool pool(par_.threads);
-      pool.parallel_for(total, par_.chunking, run);
+      pool_->parallel_for(total, par_.chunking, run);
     }
   }
 
@@ -246,6 +251,11 @@ class TrialEngine {
 
   ParallelConfig par_;
   std::function<void()> on_point_;
+  /// Kept across execute() calls: a run of short sweeps would otherwise
+  /// spawn and join a worker per sweep, and under CPU contention the
+  /// wait for that thread to be scheduled, twice per sweep, grows with
+  /// the sweep rate. Null when par_.threads resolves to 1.
+  std::shared_ptr<SharedPool> pool_;
 };
 
 // ------------------------------------------------------------------

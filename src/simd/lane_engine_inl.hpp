@@ -13,9 +13,10 @@
 //
 // What the kernels compute, each lane-sliced over 64*W trial lanes:
 //   * LUT reads (lut_read) — a Shannon mux tree over the fault-XORed
-//     stored words; TMR majority-votes three trees; Hamming decodes the
-//     syndrome as lane-parallel predicates; Hsiao/RS lanes whose segment
-//     holds a fault fall back to the scalar decoder;
+//     stored words; TMR majority-votes three trees; Hamming and Hsiao
+//     decode the mask's syndrome as lane-parallel predicates; Reed-Solomon
+//     locates and repairs a symbol in bit-sliced GF(16) arithmetic. Every
+//     coding has this one read path, for every lane;
 //   * gate netlists (eval_netlist) — parallel-pattern simulation of the
 //     CMOS cores and voter;
 //   * modules (WideModuleExec) — the shared compute_single/space/time
@@ -156,7 +157,8 @@ inline LaneVec<W> active_mask(unsigned lanes) {
 // --------------------------------------------------------------- mux tree
 
 // Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves. For k <= 6 data
-// widths the Hamming code needs r <= 7 check bits, so 128 covers both.
+// widths the Hamming code needs r <= 7 check bits, so 128 covers both,
+// and Hsiao up to k = 5 (r = 6 at the mirrored blocks' k = 4).
 constexpr std::size_t kMuxLeavesMax = 128;
 
 /// Shannon mux tree over wide lane vectors; `leaf(i)` supplies leaf i on
@@ -187,7 +189,7 @@ LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
 // delivers it, bit-identical per lane to CodedLut::read. `mask` is always
 // a real (possibly all-zero) mask: the group kernel owns one. `stats` is
 // null unless an anatomy sink is attached; it then carries the sink
-// (stats->obs) for the decode counters, into the scalar decoder too.
+// (stats->obs) for the decode counters.
 
 /// The decode-outcome counters a read tallies into, or null.
 inline obs::CodeLayerCounters* code_sink(const LutAccessStats* stats,
@@ -203,7 +205,7 @@ LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
   const std::size_t n = t.golden.size();
   V copies[3];
   for (std::size_t c = 0; c < 3; ++c) {
-    const std::uint32_t* site = t.tmr_sites.data() + c * n;
+    const std::uint32_t* site = t.code->tmr_sites.data() + c * n;
     copies[c] = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
       return V::splat(t.golden[s]) ^ V::load(mask.row(offset + site[s]));
     });
@@ -225,46 +227,59 @@ LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
   return voted;
 }
 
+/// The lane-sliced syndrome of a code whose syndrome is a function of
+/// the mask alone: syn[j] per lane = XOR of that lane's mask bits over
+/// code.syndrome_sites[j]. Returns the lanes with a nonzero syndrome.
 template <std::size_t W>
-LaneVec<W> read_hamming(const WideLut& t, const LaneVec<W>* addr_bits,
-                        const BatchBitVec& mask, std::size_t offset,
-                        const LaneVec<W>& active, LutAccessStats* stats) {
+LaneVec<W> lane_syndrome(const WideCode& code, const BatchBitVec& mask,
+                         std::size_t offset, LaneVec<W>* syn) {
   using V = LaneVec<W>;
-  const std::size_t r = t.syndrome_sites.size();
-  // The addressed data bit as the faulted string stores it.
-  const V faulted = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
-    return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
-  });
-  // Lane-sliced syndrome: bit j per lane = XOR of that lane's mask bits
-  // over check group j.
-  V syn[8];
-  assert(r <= 8);
   V any = V::zero();
-  for (std::size_t j = 0; j < r; ++j) {
+  for (std::size_t j = 0; j < code.syndrome_sites.size(); ++j) {
     V s = V::zero();
-    for (const std::uint32_t site : t.syndrome_sites[j]) {
+    for (const std::uint32_t site : code.syndrome_sites[j]) {
       s ^= V::load(mask.row(offset + site));
     }
     syn[j] = s;
     any |= s;
   }
-  // Per lane, against the addressed codeword position: eq — the syndrome
-  // names it, so the corrector repairs (or miscorrects) exactly this
-  // bit; fp — a failing check group covers it, the naive corrector's
-  // false-positive toggle.
+  return any;
+}
+
+/// Hamming and Hsiao, the single-bit-correcting linear codes: the
+/// syndrome names at most one H column, and the decoder flips the data
+/// bit it names.
+template <std::size_t W>
+LaneVec<W> read_sec(const WideLut& t, const LaneVec<W>* addr_bits,
+                    const BatchBitVec& mask, std::size_t offset,
+                    const LaneVec<W>& active, LutAccessStats* stats) {
+  using V = LaneVec<W>;
+  const WideCode& code = *t.code;
+  const std::size_t r = code.syndrome_sites.size();
+  // The addressed data bit as the faulted string stores it.
+  const V faulted = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+    return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
+  });
+  V syn[8];
+  assert(r <= 8);
+  const V any = lane_syndrome<W>(code, mask, offset, syn);
+  // Per lane, against the addressed data bit's H column: eq — the
+  // syndrome names it, so the corrector repairs (or miscorrects) exactly
+  // this bit; fp — a failing check group covers it, the naive Hamming
+  // corrector's false-positive toggle.
   V eq = V::ones();
   V fp = V::zero();
   for (std::size_t j = 0; j < r; ++j) {
-    const V pos_j = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t a) {
-      return V::splat(t.pos_leaves[j][a]);
+    const V col_j = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t a) {
+      return V::splat(code.column_leaves[j][a]);
     });
-    eq &= ~(syn[j] ^ pos_j);
-    fp |= syn[j] & pos_j;
+    eq &= ~(syn[j] ^ col_j);
+    fp |= syn[j] & col_j;
   }
-  // Does each lane's syndrome name a data position? The syndrome words
-  // drive a mux over the 2^r constant leaves.
-  const V is_data = lane_mux<W>(r, syn, [&](std::size_t s) {
-    return V::splat(t.is_data_leaves[s]);
+  // Does each lane's decoder call its syndrome a repair? The syndrome
+  // words drive a mux over the 2^r constant leaves.
+  const V repair = lane_mux<W>(r, syn, [&](std::size_t s) {
+    return V::splat(code.repair_leaves[s]);
   });
   if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
     // Word-parallel flip census over the stored segment: `once` marks
@@ -280,73 +295,111 @@ LaneVec<W> read_hamming(const WideLut& t, const LaneVec<W>* addr_bits,
     oc->clean += popcnt(~once, active);
     // Zero syndrome despite flips: an aliased multi-bit fault.
     oc->undetected += popcnt(once & ~any, active);
-    // A data syndrome is a repair with one flip, a miscorrection with
-    // two or more.
-    oc->corrected += popcnt(is_data & once & ~twice, active);
-    oc->miscorrected += popcnt(is_data & twice, active);
+    // A repair with one flip is genuine (a single flip's syndrome is its
+    // own column); with two or more it is a miscorrection.
+    oc->corrected += popcnt(repair & once & ~twice, active);
+    oc->miscorrected += popcnt(repair & twice, active);
     if (t.coding == LutCoding::kHamming) {
-      oc->false_positive += popcnt(any & ~is_data & fp, active);
-      oc->detected_uncorrectable += popcnt(any & ~is_data & ~fp, active);
+      oc->false_positive += popcnt(any & ~repair & fp, active);
+      oc->detected_uncorrectable += popcnt(any & ~repair & ~fp, active);
     } else {
-      oc->detected_uncorrectable += popcnt(any & ~is_data, active);
+      oc->detected_uncorrectable += popcnt(any & ~repair, active);
     }
   }
-  if (t.coding == LutCoding::kHammingIdeal) {
+  if (t.coding != LutCoding::kHamming) {
     return faulted ^ eq;
   }
   // eq implies a data syndrome, so the two toggle sources are disjoint.
-  return faulted ^ eq ^ (any & ~is_data & fp);
+  return faulted ^ eq ^ (any & ~repair & fp);
 }
 
+/// Bit-sliced GF(16) product c * x for a mirror-time constant c. Keep it
+/// branch-free: an `if (bit) acc ^= x[b]` form of this loop has been
+/// reported miscompiled by GCC 12 at -O2 at W = 2 on the AVX tiers.
 template <std::size_t W>
-LaneVec<W> read_fallback(const WideLut& t, const LaneVec<W>* addr_bits,
-                         const BatchBitVec& mask, std::size_t offset,
-                         const LaneVec<W>& active, LutAccessStats* stats,
-                         BitVec& lane_mask) {
+inline void gf_mul_const(const GfConstMatrix& c, const LaneVec<W>* x,
+                         LaneVec<W>* out) {
   using V = LaneVec<W>;
-  // Extension codings (Hsiao, Reed-Solomon) keep the scalar decoder for
-  // touched lanes; untouched lanes share one golden mux.
-  V touched = V::zero();
-  for (std::size_t s = 0; s < t.sites; ++s) {
-    touched |= V::load(mask.row(offset + s));
+  for (std::size_t t = 0; t < 4; ++t) {
+    V acc = V::zero();
+    for (std::size_t b = 0; b < 4; ++b) {
+      acc ^= x[b] & V::splat(c.m[t][b]);
+    }
+    out[t] = acc;
   }
-  V out = lane_mux<W>(t.inputs, addr_bits,
-                      [&](std::size_t s) { return V::splat(t.golden[s]); });
-  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
-    // Untouched lanes are clean reads; the scalar decoder below
-    // classifies the touched ones itself.
-    oc->reads += popcnt(~touched, active);
-    oc->clean += popcnt(~touched, active);
-  }
-  if (lane_mask.size() != t.sites) {
-    lane_mask = BitVec(t.sites);
-  }
-  for (std::size_t wi = 0; wi < W; ++wi) {
-    for (std::uint64_t rest = active.w[wi] & touched.w[wi]; rest != 0;
-         rest &= rest - 1) {
-      const auto lane = static_cast<unsigned>(
-          wi * kLanesPerWord + static_cast<unsigned>(std::countr_zero(rest)));
-      mask.extract_lane(lane, offset, lane_mask);
-      std::uint32_t addr = 0;
-      for (std::size_t j = 0; j < t.inputs; ++j) {
-        addr |= static_cast<std::uint32_t>(
-                    (addr_bits[j].w[wi] >> (lane % kLanesPerWord)) & 1u)
-                << j;
+}
+
+// Rs16Code caps a codeword at 15 symbols, two of them parity.
+constexpr std::size_t kRsDataBitsMax = 4 * 13;
+
+/// Reed-Solomon over GF(16), single-symbol correcting. GF(2)-linear too:
+/// the bit-sliced syndromes S1, S2 come from the mask alone; per codeword
+/// symbol j the decoder locates the error at j when S1 * alpha^j == S2
+/// and S1 != 0, and adds the magnitude S1 * alpha^-j to that symbol.
+/// Kept out of line so the TMR and Hamming readers inline as before.
+template <std::size_t W>
+[[gnu::noinline]] LaneVec<W> read_rs(const WideLut& t,
+                                     const LaneVec<W>* addr_bits,
+                                     const BatchBitVec& mask,
+                                     std::size_t offset,
+                                     const LaneVec<W>& active,
+                                     LutAccessStats* stats) {
+  using V = LaneVec<W>;
+  const WideCode& code = *t.code;
+  const std::size_t n = t.golden.size();
+  assert(n <= kRsDataBitsMax && code.syndrome_sites.size() == 8);
+  V syn[8];  // S1 bits 0-3, then S2 bits 0-3
+  const V any = lane_syndrome<W>(code, mask, offset, syn);
+  const V s1_nonzero = syn[0] | syn[1] | syn[2] | syn[3];
+  obs::CodeLayerCounters* oc = code_sink(stats, t.coding);
+  // fix[p]: the repair's flip of data site p (symbol 2 + p / 4, bit
+  // p % 4). Parity symbols 0 and 1 never touch data; only the counters
+  // need to know when the decoder locates an error there.
+  V fix[kRsDataBitsMax];
+  V located = V::zero();
+  for (std::size_t j = oc != nullptr ? 0 : 2; j < code.rs_locate.size();
+       ++j) {
+    V loc[4];
+    gf_mul_const<W>(code.rs_locate[j], syn, loc);
+    const V at = s1_nonzero & ~((loc[0] ^ syn[4]) | (loc[1] ^ syn[5]) |
+                                (loc[2] ^ syn[6]) | (loc[3] ^ syn[7]));
+    located |= at;
+    if (j >= 2) {
+      V e[4];
+      gf_mul_const<W>(code.rs_magnitude[j], syn, e);
+      for (std::size_t b = 0; b < 4; ++b) {
+        fix[(j - 2) * 4 + b] = at & e[b];
       }
-      const bool bit =
-          t.lut->read(addr, MaskView(lane_mask, 0, t.sites), stats);
-      const std::uint64_t sel = std::uint64_t{1} << (lane % kLanesPerWord);
-      out.w[wi] = (out.w[wi] & ~sel) | (bit ? sel : 0);
     }
   }
-  return out;
+  if (oc != nullptr) {
+    // "Genuine" is judged by outcome, as in CodedLut::read_rs: does the
+    // repair leave every data site golden?
+    V once = V::zero();
+    V bad = V::zero();
+    for (std::size_t s = 0; s < t.sites; ++s) {
+      const V w = V::load(mask.row(offset + s));
+      once |= w;
+      if (s < n) {
+        bad |= w ^ fix[s];
+      }
+    }
+    oc->reads += popcnt(active, active);
+    oc->clean += popcnt(~once, active);
+    oc->undetected += popcnt(once & ~any, active);
+    oc->corrected += popcnt(located & ~bad, active);
+    oc->miscorrected += popcnt(located & bad, active);
+    oc->detected_uncorrectable += popcnt(any & ~located, active);
+  }
+  return lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+    return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s)) ^ fix[s];
+  });
 }
 
 template <std::size_t W>
 LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
-                    const LaneVec<W>& active, LutAccessStats* stats,
-                    BitVec& lane_mask) {
+                    const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
   assert(offset + t.sites <= mask.sites());
   switch (t.coding) {
@@ -359,11 +412,10 @@ LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
       return read_tmr<W>(t, addr_bits, mask, offset, active, stats);
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
-      return read_hamming<W>(t, addr_bits, mask, offset, active, stats);
     case LutCoding::kHsiao:
+      return read_sec<W>(t, addr_bits, mask, offset, active, stats);
     case LutCoding::kReedSolomon:
-      return read_fallback<W>(t, addr_bits, mask, offset, active, stats,
-                              lane_mask);
+      return read_rs<W>(t, addr_bits, mask, offset, active, stats);
   }
   return V::zero();
 }
@@ -446,8 +498,7 @@ template <std::size_t W>
 void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
                    std::uint8_t b, const BatchBitVec& mask,
                    std::size_t offset, const LaneVec<W>& active,
-                   LaneVec<W> out[8], ModuleStats* stats,
-                   BitVec& lane_mask) {
+                   LaneVec<W> out[8], ModuleStats* stats) {
   using V = LaneVec<W>;
   enum Role : std::size_t { kLogic = 0, kSum = 1, kCarry = 2, kSelect = 3 };
   const auto opbits = static_cast<std::uint32_t>(op);
@@ -458,7 +509,7 @@ void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
   const auto read = [&](std::size_t slice, Role r, const V addr[4]) {
     const std::size_t i = slice * 4 + r;
     return lut_read<W>(blk.luts[i], addr, mask, offset + blk.offsets[i],
-                       active, ls, lane_mask);
+                       active, ls);
   };
 
   V cin = V::zero();
@@ -535,7 +586,7 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
               const LaneVec<W>& vx, const LaneVec<W>& vy,
               const LaneVec<W>& vz, const BatchBitVec& mask,
               std::size_t offset, const LaneVec<W>& active, WideOut<W>& out,
-              ModuleStats* stats, BitVec& lane_mask) {
+              ModuleStats* stats) {
   using V = LaneVec<W>;
   LutAccessStats* ls = stats != nullptr ? &stats->lut : nullptr;
   V value_diff = V::zero();
@@ -546,12 +597,11 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
   for (std::size_t i = 0; i < 8; ++i) {
     const V addr[4] = {x[i], y[i], z[i], V::zero()};
     out.value[i] = lut_read<W>(blk.luts[i], addr, mask,
-                               offset + blk.offsets[i], active, ls,
-                               lane_mask);
+                               offset + blk.offsets[i], active, ls);
   }
   const V vaddr[4] = {vx, vy, vz, V::zero()};
   out.valid = lut_read<W>(blk.luts[8], vaddr, mask, offset + blk.offsets[8],
-                          active, ls, lane_mask);
+                          active, ls);
   if (stats != nullptr) {
     const V majv = (vx & vy) | (vy & vz) | (vx & vz);
     account_vote<W>(*stats->obs, x, y, z, out, out.valid ^ majv, active);
@@ -604,7 +654,6 @@ struct WideModuleExec {
                             ///< is attached
   const WideMirror* mirror;
   std::uint64_t* nodes;     ///< arena netlist scratch
-  BitVec* lane_mask;        ///< arena scalar-decode scratch
   WideOut<W>* out;
 
   static Valid valid_true() { return LaneVec<W>::ones(); }
@@ -618,8 +667,7 @@ struct WideModuleExec {
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
     const WideMirror::Core& c = mirror->cores()[core];
     if (c.kind == WideMirror::PartKind::kLut) {
-      eval_lut_core<W>(c.block, op, a, b, *mask, offset, active, r.w, stats,
-                       *lane_mask);
+      eval_lut_core<W>(c.block, op, a, b, *mask, offset, active, r.w, stats);
     } else {
       // Matches the scalar datapath: no correction telemetry.
       eval_cmos_core<W>(c, op, a, b, *mask, offset, r.w, nodes);
@@ -645,7 +693,7 @@ struct WideModuleExec {
     const WideMirror::Voter& vt = *mirror->voter();
     if (vt.kind == WideMirror::PartKind::kLut) {
       lut_vote<W>(vt.block, r[0].w, r[1].w, r[2].w, v[0], v[1], v[2], *mask,
-                  voter_off, active, *out, stats, *lane_mask);
+                  voter_off, active, *out, stats);
     } else {
       // The CMOS module has no data-valid datapath (v[] unused), exactly
       // like the scalar CmosVoter.
@@ -856,8 +904,8 @@ void run_group_impl(const WideGroupJob& job) {
   assert(ar.incorrect.size() >= in_group);
 
   obs::Counters* oc = job.anatomy;
-  // Carries the anatomy sink into the kernels and the scalar code they
-  // fall back on (hw cores, faulted Hsiao/RS lanes); null when off.
+  // Carries the anatomy sink into the kernels and into the whole-ALU
+  // scalar bridge of the hw cores; null when off.
   ModuleStats sink;
   sink.obs = oc;
   sink.lut.obs = oc;
@@ -896,10 +944,8 @@ void run_group_impl(const WideGroupJob& job) {
       compute_lanes_scalar<W>(mir.scalar_alu(), ins.op, ins.a, ins.b, mask,
                               active, out, stats, ar.lane_mask);
     } else {
-      WideModuleExec<W> ex{ins.op, ins.a,     ins.b,
-                           &mask,  active,    stats,
-                           &mir,   ar.nodes.data(), &ar.lane_mask,
-                           &out};
+      WideModuleExec<W> ex{ins.op, ins.a,  ins.b,           &mask, active,
+                           stats,  &mir,   ar.nodes.data(), &out};
       switch (mir.level()) {
         case WideMirror::Level::kSingle:
           plan::compute_single(ex);

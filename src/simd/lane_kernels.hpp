@@ -57,7 +57,8 @@ struct WideArena {
   std::unique_ptr<LaneRngStates> lane_states;
   std::vector<std::uint32_t> incorrect;  ///< per-lane wrong-result count
   std::vector<std::uint64_t> nodes;  ///< netlist node words (W per node)
-  BitVec lane_mask;                  ///< scalar fallback lane extraction
+  BitVec lane_mask;                  ///< one lane's mask column, for the
+                                     ///< whole-ALU scalar bridge (hw cores)
   std::vector<MaskGenerator> gens;   ///< per-lane generators (wear-out
                                      ///< schedules only; empty when the
                                      ///< group shares WideGroupJob::gen)

@@ -7,17 +7,147 @@
 #include "alu/lut_core_alu.hpp"
 #include "alu/module_alu.hpp"
 #include "alu/voter.hpp"
+#include "coding/gf16.hpp"
 #include "coding/hamming.hpp"
+#include "coding/hsiao.hpp"
+#include "coding/reed_solomon.hpp"
 #include "common/batch_bitvec.hpp"
 
 namespace nbx::simd {
 
 namespace {
 
-/// Precomputes the decode tables of `lut` (see WideLut).
-WideLut lut_tables(const CodedLut& lut) {
+using CodeTables = std::vector<std::unique_ptr<const WideCode>>;
+
+/// Fills the tables of a linear SEC code over n data bits and r check
+/// bits: data bit d has H column col(d), check bit j (stored at site
+/// n + j) the unit vector 1 << j, and repairs(s) says whether the
+/// decoder repairs syndrome s.
+template <class Column, class Repairs>
+void linear_tables(WideCode& c, std::size_t n, std::size_t r, Column col,
+                   Repairs repairs) {
+  c.syndrome_sites.resize(r);
+  c.column_leaves.assign(r, std::vector<std::uint64_t>(n));
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::uint32_t h = col(d);
+    for (std::size_t j = 0; j < r; ++j) {
+      if ((h >> j) & 1u) {
+        c.syndrome_sites[j].push_back(static_cast<std::uint32_t>(d));
+      }
+      c.column_leaves[j][d] = lane_broadcast((h >> j) & 1u);
+    }
+  }
+  for (std::size_t j = 0; j < r; ++j) {
+    c.syndrome_sites[j].push_back(static_cast<std::uint32_t>(n + j));
+  }
+  c.repair_leaves.resize(std::size_t{1} << r);
+  for (std::uint32_t s = 0; s < c.repair_leaves.size(); ++s) {
+    c.repair_leaves[s] = lane_broadcast(repairs(s));
+  }
+}
+
+/// Multiplication by `c` as a bit matrix (see GfConstMatrix).
+GfConstMatrix gf_const_matrix(std::uint8_t c) {
+  GfConstMatrix g;
+  for (std::size_t b = 0; b < 4; ++b) {
+    const std::uint8_t col = gf16::mul(static_cast<std::uint8_t>(1u << b), c);
+    for (std::size_t t = 0; t < 4; ++t) {
+      g.m[t][b] = lane_broadcast((col >> t) & 1u);
+    }
+  }
+  return g;
+}
+
+/// Builds the decode tables of `coding` over n-bit tables (see WideCode).
+std::unique_ptr<const WideCode> build_code(LutCoding coding, std::size_t n) {
+  auto c = std::make_unique<WideCode>();
+  c->coding = coding;
+  c->table_bits = n;
+  switch (coding) {
+    case LutCoding::kTmr:
+    case LutCoding::kTmrInterleaved:
+      c->tmr_sites.resize(3 * n);
+      for (std::size_t copy = 0; copy < 3; ++copy) {
+        for (std::size_t s = 0; s < n; ++s) {
+          c->tmr_sites[copy * n + s] = static_cast<std::uint32_t>(
+              coding == LutCoding::kTmrInterleaved ? s * 3 + copy
+                                                   : copy * n + s);
+        }
+      }
+      break;
+    case LutCoding::kHamming:
+    case LutCoding::kHammingIdeal: {
+      // A codeword position's H column is the position itself. As
+      // HammingCode::decode, the corrector repairs a data position: a
+      // nonzero in-codeword syndrome that is not a power of two.
+      const HammingCode code(n);
+      const std::size_t cw = code.codeword_bits();
+      linear_tables(
+          *c, n, code.check_bits(),
+          [&](std::size_t d) { return code.position_of_data(d); },
+          [&](std::uint32_t s) {
+            return s >= 1 && s <= cw && !std::has_single_bit(s);
+          });
+      break;
+    }
+    case LutCoding::kHsiao: {
+      // As HsiaoCode::detect_and_correct, an odd-weight syndrome is
+      // corrected when it is a unit vector (a check bit) or a data
+      // column.
+      const HsiaoCode code(n);
+      std::vector<bool> is_column(std::size_t{1} << code.check_bits());
+      for (std::size_t d = 0; d < n; ++d) {
+        is_column[code.data_column(d)] = true;
+      }
+      linear_tables(
+          *c, n, code.check_bits(),
+          [&](std::size_t d) { return code.data_column(d); },
+          [&](std::uint32_t s) {
+            return (std::popcount(s) & 1) != 0 &&
+                   (std::has_single_bit(s) || is_column[s]);
+          });
+      break;
+    }
+    case LutCoding::kReedSolomon: {
+      // Flipping bit b of codeword symbol j adds 2^b * alpha^j to S1 and
+      // 2^b * alpha^2j to S2 — eight XOR rows over the stored sites. The
+      // layout is Rs16Code's: parity symbols c_0, c_1 are check bits 0-7,
+      // c_{2+i} is data nibble i, and bit b of a symbol is its b-th
+      // stored bit.
+      const Rs16Code code(n);
+      const std::size_t symbols = code.codeword_symbols();
+      c->syndrome_sites.resize(8);
+      for (std::size_t j = 0; j < symbols; ++j) {
+        const int e = static_cast<int>(j);
+        for (std::size_t b = 0; b < 4; ++b) {
+          const auto site = static_cast<std::uint32_t>(
+              j < 2 ? n + 4 * j + b : 4 * (j - 2) + b);
+          const auto flip = static_cast<std::uint8_t>(1u << b);
+          const std::uint8_t s1 = gf16::mul(flip, gf16::pow_alpha(e));
+          const std::uint8_t s2 = gf16::mul(flip, gf16::pow_alpha(2 * e));
+          for (std::size_t t = 0; t < 4; ++t) {
+            if ((s1 >> t) & 1u) {
+              c->syndrome_sites[t].push_back(site);
+            }
+            if ((s2 >> t) & 1u) {
+              c->syndrome_sites[4 + t].push_back(site);
+            }
+          }
+        }
+        c->rs_locate.push_back(gf_const_matrix(gf16::pow_alpha(e)));
+        c->rs_magnitude.push_back(gf_const_matrix(gf16::pow_alpha(-e)));
+      }
+      break;
+    }
+    case LutCoding::kNone:
+      break;
+  }
+  return c;
+}
+
+/// The wide view of `lut`, its code tables shared through `codes`.
+WideLut wide_lut(const CodedLut& lut, CodeTables& codes) {
   WideLut t;
-  t.lut = &lut;
   t.coding = lut.coding();
   t.inputs = static_cast<std::size_t>(lut.inputs());
   t.sites = lut.fault_sites();
@@ -27,68 +157,35 @@ WideLut lut_tables(const CodedLut& lut) {
   for (std::size_t s = 0; s < n; ++s) {
     t.golden[s] = lane_broadcast(tt.get(s));
   }
-  switch (t.coding) {
-    case LutCoding::kTmr:
-    case LutCoding::kTmrInterleaved:
-      t.tmr_sites.resize(3 * n);
-      for (std::size_t c = 0; c < 3; ++c) {
-        for (std::size_t s = 0; s < n; ++s) {
-          t.tmr_sites[c * n + s] = static_cast<std::uint32_t>(
-              t.coding == LutCoding::kTmrInterleaved ? s * 3 + c
-                                                     : c * n + s);
-        }
-      }
-      break;
-    case LutCoding::kHamming:
-    case LutCoding::kHammingIdeal: {
-      // The golden stored string is a codeword, so the syndrome of the
-      // faulted string is a function of the mask alone: syndrome bit j
-      // is the XOR of the mask bits in check group j.
-      const HammingCode code(n);
-      const std::size_t r = code.check_bits();
-      t.syndrome_sites.resize(r);
-      t.pos_leaves.assign(r, std::vector<std::uint64_t>(n));
-      for (std::size_t d = 0; d < n; ++d) {
-        const std::uint32_t p = code.position_of_data(d);
-        for (std::size_t j = 0; j < r; ++j) {
-          if ((p >> j) & 1u) {
-            t.syndrome_sites[j].push_back(static_cast<std::uint32_t>(d));
-          }
-          t.pos_leaves[j][d] = lane_broadcast((p >> j) & 1u);
-        }
-      }
-      for (std::size_t j = 0; j < r; ++j) {
-        t.syndrome_sites[j].push_back(static_cast<std::uint32_t>(n + j));
-      }
-      const std::size_t cw = code.codeword_bits();
-      t.is_data_leaves.resize(std::size_t{1} << r);
-      for (std::size_t s = 0; s < t.is_data_leaves.size(); ++s) {
-        // As HammingCode::decode: a data position is a nonzero
-        // in-codeword syndrome that is not a power of two.
-        t.is_data_leaves[s] =
-            lane_broadcast(s >= 1 && s <= cw && !std::has_single_bit(s));
-      }
-      break;
-    }
-    case LutCoding::kNone:
-    case LutCoding::kHsiao:
-    case LutCoding::kReedSolomon:
-      break;
-  }
+  const auto shared =
+      std::find_if(codes.begin(), codes.end(), [&](const auto& c) {
+        return c->coding == t.coding && c->table_bits == n;
+      });
+  t.code = shared != codes.end()
+               ? shared->get()
+               : codes.emplace_back(build_code(t.coding, n)).get();
   return t;
 }
 
+/// The LUTs of a LutCoreAlu or LutVoter, as a WideLutBlock.
+template <class LutOwner>
+void mirror_luts(const LutOwner& owner, std::size_t count, CodeTables& codes,
+                 WideLutBlock& out) {
+  out.luts.reserve(count);
+  out.offsets.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.luts.push_back(wide_lut(owner.lut_at(i), codes));
+    out.offsets.push_back(owner.lut_offset(i));
+  }
+}
+
 /// Fills `out` from a recognized core; false on anything else.
-bool mirror_core(const CoreAlu& core, WideMirror::Core& out) {
+bool mirror_core(const CoreAlu& core, CodeTables& codes,
+                 WideMirror::Core& out) {
   out.sites = core.fault_sites();
   if (const auto* lut = dynamic_cast<const LutCoreAlu*>(&core)) {
     out.kind = WideMirror::PartKind::kLut;
-    out.block.luts.reserve(LutCoreAlu::kLutCount);
-    out.block.offsets.reserve(LutCoreAlu::kLutCount);
-    for (std::size_t i = 0; i < LutCoreAlu::kLutCount; ++i) {
-      out.block.luts.push_back(lut_tables(lut->lut_at(i)));
-      out.block.offsets.push_back(lut->lut_offset(i));
-    }
+    mirror_luts(*lut, LutCoreAlu::kLutCount, codes, out.block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosCoreAlu*>(&core)) {
@@ -102,16 +199,12 @@ bool mirror_core(const CoreAlu& core, WideMirror::Core& out) {
   return false;
 }
 
-bool mirror_voter(const IVoter& voter, WideMirror::Voter& out) {
+bool mirror_voter(const IVoter& voter, CodeTables& codes,
+                  WideMirror::Voter& out) {
   out.sites = voter.fault_sites();
   if (const auto* lut = dynamic_cast<const LutVoter*>(&voter)) {
     out.kind = WideMirror::PartKind::kLut;
-    out.block.luts.reserve(LutVoter::kLutCount);
-    out.block.offsets.reserve(LutVoter::kLutCount);
-    for (std::size_t i = 0; i < LutVoter::kLutCount; ++i) {
-      out.block.luts.push_back(lut_tables(lut->lut_at(i)));
-      out.block.offsets.push_back(lut->lut_offset(i));
-    }
+    mirror_luts(*lut, LutVoter::kLutCount, codes, out.block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosVoter*>(&voter)) {
@@ -135,21 +228,21 @@ std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
   if (const auto* single = dynamic_cast<const SingleAlu*>(&alu)) {
     m->level_ = Level::kSingle;
     m->cores_.resize(1);
-    ok = mirror_core(single->core(), m->cores_[0]);
+    ok = mirror_core(single->core(), m->codes_, m->cores_[0]);
   } else if (const auto* space =
                  dynamic_cast<const SpaceRedundantAlu*>(&alu)) {
     m->level_ = Level::kSpace;
     m->cores_.resize(3);
     for (std::size_t i = 0; i < 3; ++i) {
-      ok = ok && mirror_core(space->core(i), m->cores_[i]);
+      ok = ok && mirror_core(space->core(i), m->codes_, m->cores_[i]);
     }
-    m->has_voter_ = ok && mirror_voter(space->voter(), m->voter_);
+    m->has_voter_ = ok && mirror_voter(space->voter(), m->codes_, m->voter_);
     ok = ok && m->has_voter_;
   } else if (const auto* time = dynamic_cast<const TimeRedundantAlu*>(&alu)) {
     m->level_ = Level::kTime;
     m->cores_.resize(1);
-    ok = mirror_core(time->core(), m->cores_[0]);
-    m->has_voter_ = ok && mirror_voter(time->voter(), m->voter_);
+    ok = mirror_core(time->core(), m->codes_, m->cores_[0]);
+    m->has_voter_ = ok && mirror_voter(time->voter(), m->codes_, m->voter_);
     ok = ok && m->has_voter_;
   } else {
     ok = false;
@@ -158,6 +251,7 @@ std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
     m->fallback_ = true;
     m->cores_.clear();
     m->has_voter_ = false;
+    m->codes_.clear();
     return m;
   }
   for (const Core& c : m->cores_) {

@@ -3,13 +3,14 @@
 //
 // WideMirror::create walks an IAlu's concrete structure once and keeps
 // the *data* the kernels need — which cores/voters exist, each LUT's
-// decode tables, mask-segment offsets, netlists and output signals — in
-// one plain object that every dispatch tier's kernels consume. The
-// mirror itself never computes; computing is the per-tier templated code
-// in lane_engine_inl.hpp. Building the mirror is per-engine-run (cheap,
-// read-only, shared across worker threads), so tiers cannot disagree
-// about structure, only about register width — and the width is verified
-// bit-identical by the nbxcheck simd-differential family.
+// golden leaves and its code's decode tables, mask-segment offsets,
+// netlists and output signals — in one plain object that every dispatch
+// tier's kernels consume. The mirror itself never computes; computing is
+// the per-tier templated code in lane_engine_inl.hpp. Building the mirror
+// is per-engine-run (cheap, read-only, shared across worker threads), so
+// tiers cannot disagree about structure, only about register width — and
+// the width is verified bit-identical by the nbxcheck simd-differential
+// family.
 #pragma once
 
 #include <cstddef>
@@ -23,29 +24,53 @@
 
 namespace nbx::simd {
 
-/// The decode tables of one CodedLut, precomputed for the wide kernels.
-/// Leaves are broadcast 64-lane words (all-zero or all-one); a wide lane
-/// vector splats them across its lane words.
+/// Multiplication by a GF(16) constant c, as the 4x4 bit matrix the
+/// bit-sliced kernels apply: bit t of c*x is the XOR of the bits b of x
+/// whose m[t][b] is all-one. Entries are broadcast 64-lane words.
+struct GfConstMatrix {
+  std::uint64_t m[4][4] = {};
+};
+
+/// The decode tables of one (coding, table size). They depend on the code
+/// alone, never on the LUT's contents, so the mirror builds each once and
+/// every LUT of that shape points at it. Leaves are broadcast 64-lane
+/// words (all-zero or all-one); a wide lane vector splats them across its
+/// lane words.
+struct WideCode {
+  LutCoding coding = LutCoding::kNone;
+  std::size_t table_bits = 0;  ///< 2^k
+  /// TMR codings: the segment-relative site of copy c of table entry s
+  /// sits at tmr_sites[c * 2^k + s].
+  std::vector<std::uint32_t> tmr_sites;
+  /// Hamming, Hsiao and Reed-Solomon, one entry per syndrome bit j: the
+  /// stored sites whose mask bits XOR into it. The golden stored string
+  /// is a codeword, so the syndrome is a function of the mask alone.
+  /// Hamming/Hsiao: the data sites whose H column has bit j set, plus
+  /// check site j. Reed-Solomon: bits 0-3 of S1, then bits 0-3 of S2.
+  std::vector<std::vector<std::uint32_t>> syndrome_sites;
+  /// Hamming/Hsiao: 2^k leaves of bit j of data bit a's H column
+  /// (Hamming: its codeword position), so the mux tree turns lane
+  /// addresses into lane columns ...
+  std::vector<std::vector<std::uint64_t>> column_leaves;
+  /// ... and 2^r leaves: does the decoder call syndrome s a repair?
+  /// Hamming: s names a data position. Hsiao: HsiaoStatus::kCorrected,
+  /// i.e. odd weight and a unit vector or a data column.
+  std::vector<std::uint64_t> repair_leaves;
+  /// Reed-Solomon, one entry per codeword symbol j: multiplication by
+  /// alpha^j (the locator test S1 * alpha^j == S2) and by alpha^-j (the
+  /// error magnitude S1 * alpha^-j).
+  std::vector<GfConstMatrix> rs_locate;
+  std::vector<GfConstMatrix> rs_magnitude;
+};
+
+/// One CodedLut as the wide kernels read it: its golden leaves plus the
+/// shared tables of its code.
 struct WideLut {
-  /// The scalar decoder, for Hsiao/RS lanes whose segment is faulted.
-  const CodedLut* lut = nullptr;
+  const WideCode* code = nullptr;  ///< owned by the WideMirror
   LutCoding coding = LutCoding::kNone;
   std::size_t inputs = 0;  ///< address bits k
   std::size_t sites = 0;   ///< stored bits (fault sites) of this LUT
   std::vector<std::uint64_t> golden;  ///< 2^k truth-table leaves
-  /// TMR codings: the segment-relative site of copy c of table entry s
-  /// sits at tmr_sites[c * 2^k + s].
-  std::vector<std::uint32_t> tmr_sites;
-  /// Hamming codings, one entry per check bit j: the sites whose mask
-  /// bits XOR into syndrome bit j (the data sites of check group j plus
-  /// stored check bit j) ...
-  std::vector<std::vector<std::uint32_t>> syndrome_sites;
-  /// ... and 2^k leaves of bit j of position_of_data(addr), so the mux
-  /// tree turns lane addresses into lane codeword positions.
-  std::vector<std::vector<std::uint64_t>> pos_leaves;
-  /// Hamming codings: 2^r leaves — does syndrome value s name a
-  /// (correctable) data position?
-  std::vector<std::uint64_t> is_data_leaves;
 };
 
 /// One LUT block: the LUTs of a LutCoreAlu (32) or LutVoter (9) plus
@@ -103,6 +128,8 @@ class WideMirror {
   std::vector<Core> cores_;  // 1 (single/time) or 3 (space)
   Voter voter_;
   std::size_t max_nodes_ = 0;
+  /// One per (coding, table size) among the mirrored LUTs.
+  std::vector<std::unique_ptr<const WideCode>> codes_;
 };
 
 }  // namespace nbx::simd

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <tuple>
 
 #include "alu/alu_factory.hpp"
 #include "cell/processor_cell.hpp"
@@ -104,8 +106,9 @@ std::uint64_t allocations_during_sweep(const IAlu& alu,
   return after - before;
 }
 
-void expect_zero_per_trial_allocations(unsigned lanes) {
-  const auto alu = make_alu("aluss");
+void expect_zero_per_trial_allocations(const std::string& alu_name,
+                                       unsigned lanes) {
+  const auto alu = make_alu(alu_name);
   const auto streams = paper_streams(2026);
   // Warm-up: sizes the thread-local arena (mask matrix, RNG array,
   // scorer, netlist scratch) and any lazy per-ALU statics. Uses the
@@ -119,18 +122,42 @@ void expect_zero_per_trial_allocations(unsigned lanes) {
   const std::uint64_t long_run =
       allocations_during_sweep(*alu, streams, lanes, 96);
   EXPECT_EQ(short_run, long_run)
-      << "lanes=" << lanes << ": the 96-trial run allocated "
+      << alu_name << " lanes=" << lanes << ": the 96-trial run allocated "
       << long_run << " times vs " << short_run
       << " for 32 trials — some allocation scales with trials";
 }
 
 TEST(AllocAudit, WideEngineSteadyStateAllocatesNothingAt64Lanes) {
-  expect_zero_per_trial_allocations(64);
+  expect_zero_per_trial_allocations("aluss", 64);
 }
 
 TEST(AllocAudit, WideEngineSteadyStateAllocatesNothingAt512Lanes) {
-  expect_zero_per_trial_allocations(512);
+  expect_zero_per_trial_allocations("aluss", 512);
 }
+
+// The Hsiao and Reed-Solomon codings decode word-parallel like TMR and
+// Hamming. A per-lane scalar decode creeping back (CodedLut's decoder
+// allocates its faulted data and check strings on every read) would
+// allocate per faulted read, hence per trial, and fail here.
+class AllocAuditCoding
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {};
+
+TEST_P(AllocAuditCoding, WideEngineSteadyStateAllocatesNothing) {
+  expect_zero_per_trial_allocations(std::get<0>(GetParam()),
+                                    std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HsiaoAndRs, AllocAuditCoding,
+    ::testing::Combine(::testing::Values(std::string("alushsiao"),
+                                         std::string("alusrs"),
+                                         std::string("alunhsiao"),
+                                         std::string("alunrs")),
+                       ::testing::Values(64u, 512u)),
+    [](const ::testing::TestParamInfo<AllocAuditCoding::ParamType>& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param)) + "lanes";
+    });
 
 TEST(AllocAudit, MetricsHotPathAllocatesNothing) {
   // The sharded metric primitives must be pure arithmetic after the

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace nbx {
@@ -63,6 +67,102 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     total += std::accumulate(out.begin(), out.end(), std::uint64_t{0});
   }
   EXPECT_EQ(total, 50u * (64u * 65u / 2u));
+}
+
+TEST(ThreadPool, CallerExceptionLeavesThePoolReady) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> entered{0};
+  std::atomic<int> inside{0};
+  // The caller throws once both workers are inside an index, where each
+  // stays for 250 ms. parallel_for must rethrow only after they are out,
+  // and must hand out no index after the throw.
+  EXPECT_THROW(pool.parallel_for(100000, 1,
+                                 [&](std::size_t) {
+                                   if (std::this_thread::get_id() == caller) {
+                                     while (entered < 2) {
+                                       std::this_thread::yield();
+                                     }
+                                     throw std::runtime_error("body");
+                                   }
+                                   if (entered.fetch_add(1) >= 2) {
+                                     return;
+                                   }
+                                   inside.fetch_add(1);
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(250));
+                                   inside.fetch_sub(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(inside.load(), 0);
+  EXPECT_EQ(entered.load(), 2);
+  // The pool is ready for the next job: every index exactly once.
+  std::vector<std::atomic<int>> hits(500);
+  pool.parallel_for(hits.size(), 3,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+// Counts the threads that ever ran a job body: each thread bumps it once,
+// the first time it runs one.
+std::atomic<int> g_threads_seen{0};
+void note_thread() {
+  thread_local const bool seen = (g_threads_seen.fetch_add(1), true);
+  (void)seen;
+}
+
+/// One job on `pool` in which each of its `threads` threads runs exactly
+/// one index: every index waits until all of them have started.
+template <typename Pool>
+void one_index_per_thread(Pool& pool, unsigned threads) {
+  std::latch all_in(threads);
+  pool.parallel_for(threads, 1, [&](std::size_t) {
+    note_thread();
+    all_in.arrive_and_wait();
+  });
+}
+
+TEST(SharedPool, ReusesItsWorkersAcrossJobs) {
+  SharedPool shared(3);
+  g_threads_seen = 0;
+  std::thread([&] {
+    for (int job = 0; job < 5; ++job) {
+      one_index_per_thread(shared, 3);
+    }
+  }).join();
+  // The calling thread plus the pool's two workers, started once.
+  EXPECT_EQ(g_threads_seen.load(), 3);
+
+  // A ThreadPool per job starts new workers every time.
+  g_threads_seen = 0;
+  std::thread([&] {
+    for (int job = 0; job < 5; ++job) {
+      ThreadPool pool(3);
+      one_index_per_thread(pool, 3);
+    }
+  }).join();
+  EXPECT_EQ(g_threads_seen.load(), 1 + 5 * 2);
+}
+
+TEST(SharedPool, BusyPoolRunsTheJobOnATemporaryOne) {
+  SharedPool shared(2);
+  std::vector<std::atomic<int>> outer(4);
+  std::vector<std::atomic<int>> inner(4 * 50);
+  // Jobs nested inside a job find the kept pool busy.
+  shared.parallel_for(outer.size(), 1, [&](std::size_t i) {
+    outer[i].fetch_add(1);
+    shared.parallel_for(50, 7, [&](std::size_t j) {
+      inner[i * 50 + j].fetch_add(1);
+    });
+  });
+  for (const auto& h : outer) {
+    EXPECT_EQ(h.load(), 1);
+  }
+  for (const auto& h : inner) {
+    EXPECT_EQ(h.load(), 1);
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -356,6 +357,54 @@ TEST(ServeSmoke, CacheSurvivesReconnectsWithinOneDaemon) {
   const ServiceStats stats = server.service().stats();
   EXPECT_EQ(stats.jobs_computed, 1u);
   EXPECT_EQ(stats.hits, 1u);
+  server.stop();
+}
+
+// Lines of /proc/self/maps: one per mapping this process holds. A
+// joinable-but-finished thread keeps its stack and guard page mapped.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++lines;
+  }
+  return lines;
+}
+
+TEST(ServeLifetime, FinishedConnectionsReleaseTheirThreads) {
+  // A long-running daemon sees an unbounded number of short connections
+  // (nbxq opens one per command). Each finished connection's thread must
+  // be joined while the server runs, not kept until stop(): otherwise
+  // every one of them holds its stack mapping, and the process runs out
+  // of mappings (vm.max_map_count) after some tens of thousands.
+  ServerConfig cfg;
+  cfg.socket_path = temp_socket_path("reap");
+  Server server(cfg);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const auto ping_once = [&] {
+    ServeClient client;
+    std::string response;
+    return client.connect(server.socket_path(), &error) &&
+           client.request(render_ping_request(), response, &error) &&
+           status_of(response) == "ok";
+  };
+  // Warm-up: the first connections fault in the allocator arenas and the
+  // thread-stack cache every later connection reuses.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(ping_once()) << error;
+  }
+  const std::size_t before = mapping_count();
+  constexpr int kCycles = 2000;
+  for (int i = 0; i < kCycles; ++i) {
+    ASSERT_TRUE(ping_once()) << "cycle " << i << ": " << error;
+  }
+  const std::size_t after = mapping_count();
+  // Without reaping the growth is two mappings per connection (~4,000).
+  EXPECT_LT(after, before + 200)
+      << kCycles << " sequential connections grew the mapping count from "
+      << before << " to " << after
+      << " — finished connection threads are not being joined";
   server.stop();
 }
 

@@ -5,6 +5,8 @@
 // statistics fold, or races on shared buffers fails here.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "alu/alu_factory.hpp"
 #include "fault/sweep.hpp"
 #include "sim/experiment.hpp"
@@ -106,6 +108,41 @@ TEST(ParallelDeterminism, RunFigureParallelMatchesSerial) {
   for (std::size_t s = 0; s < serial.series.size(); ++s) {
     expect_identical(serial.series[s], parallel.series[s],
                      "fig7 series " + std::to_string(s));
+  }
+}
+
+TEST(ParallelDeterminism, OneEngineSharedAcrossCallersMatchesSerial) {
+  // An engine keeps its worker threads across sweeps and shares them with
+  // its copies; callers that find them busy get a pool of their own. Four
+  // callers of one engine (two through copies), scalar and wide, must
+  // each reproduce the serial sweep.
+  const auto alu = make_alu("alush");
+  const auto streams = paper_streams();
+  const SweepSpec spec{
+      .percents = {1.0, 4.0}, .trials_per_workload = 70, .seed = 5};
+  for (const unsigned lanes : {0u, 64u}) {
+    const auto serial =
+        TrialEngine{ParallelConfig{1, 0, lanes}}.sweep(*alu, streams, spec);
+    const TrialEngine engine(ParallelConfig{2, 0, lanes});
+    std::vector<std::vector<DataPoint>> got(4);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      callers.emplace_back([&, c] {
+        const TrialEngine copy(engine);
+        const TrialEngine& mine = c % 2 == 0 ? engine : copy;
+        for (int round = 0; round < 3; ++round) {
+          got[c] = mine.sweep(*alu, streams, spec);
+        }
+      });
+    }
+    for (std::thread& t : callers) {
+      t.join();
+    }
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      expect_identical(serial, got[c],
+                       "lanes " + std::to_string(lanes) + " caller " +
+                           std::to_string(c));
+    }
   }
 }
 

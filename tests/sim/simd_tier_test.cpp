@@ -140,8 +140,10 @@ void run_decode_coverage(simd::SimdTier tier) {
     const SweepAnatomy base =
         TrialEngine(scalar_cfg).sweep_anatomy(*alu, streams, spec);
 
-    // One full lane word, and a ragged two-word group (64 + 32 lanes).
-    for (const unsigned lanes : {64u, 96u}) {
+    // Every lane-word width W = 1, 2, 4, 8: one full word, a ragged
+    // two-word group (64 + 32 lanes), and full 256- and 512-lane rows. A
+    // miscompile can be specific to one width.
+    for (const unsigned lanes : {64u, 96u, 256u, 512u}) {
       ParallelConfig wide_cfg;
       wide_cfg.batch_lanes = lanes;
       const SweepAnatomy wide =

@@ -16,7 +16,9 @@
 
 #include <array>
 #include <atomic>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alu/alu_factory.hpp"
@@ -241,6 +243,35 @@ TEST_F(TrialEngineSmoke, ExecuteSchedulesEveryItemOfACustomBackend) {
                                            << threads;
     }
   }
+}
+
+TEST_F(TrialEngineSmoke, ExecuteKeepsItsWorkerThreadsAcrossCalls) {
+  // Every item waits until both of the engine's threads hold one, so
+  // each execute() runs on exactly two threads. Counted by first touch
+  // of a thread_local: the engine and its copy start one worker between
+  // them, however many executes they run.
+  static std::atomic<int> threads_seen{0};
+  struct PairBackend {
+    std::latch* both_in;
+    [[nodiscard]] std::size_t item_count() const { return 2; }
+    [[nodiscard]] std::string_view stage() const { return "trial"; }
+    void run_item(std::size_t) const {
+      thread_local const bool seen = (threads_seen.fetch_add(1), true);
+      (void)seen;
+      both_in->arrive_and_wait();
+    }
+  };
+  static_assert(TrialBackend<PairBackend>);
+  std::thread([] {
+    const TrialEngine engine{ParallelConfig{2, 1}};
+    const TrialEngine copy = engine;
+    for (int call = 0; call < 6; ++call) {
+      std::latch both_in(2);
+      PairBackend backend{&both_in};
+      (call % 2 == 0 ? engine : copy).execute(backend);
+    }
+  }).join();
+  EXPECT_EQ(threads_seen.load(), 2);  // the calling thread + one worker
 }
 
 TEST_F(TrialEngineSmoke, OnPointTicksOncePerPercent) {
