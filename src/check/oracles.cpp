@@ -1,6 +1,7 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "alu/alu_factory.hpp"
 #include "alu/cmos_core_alu.hpp"
@@ -63,6 +65,61 @@ bool family_matches(const JsonValue& doc, const char* name) {
   return fam != nullptr && fam->as_string() == name;
 }
 
+/// Field-by-field case decoding: a required field must be present, an
+/// absent optional one keeps the case's default, and a present field of
+/// the wrong kind fails the whole document.
+class FieldReader {
+ public:
+  explicit FieldReader(const JsonValue& doc) : doc_(doc) {}
+
+  void text(const char* key, std::string& out, bool required = false) {
+    if (const JsonValue* v = get(key, JsonValue::Kind::kString, required)) {
+      out = v->as_string();
+    }
+  }
+  void flag(const char* key, bool& out, bool required = false) {
+    if (const JsonValue* v = get(key, JsonValue::Kind::kBool, required)) {
+      out = v->as_bool();
+    }
+  }
+  template <typename T>
+  void number(const char* key, T& out, bool required = false) {
+    const JsonValue* v = get(key, JsonValue::Kind::kNumber, required);
+    if (v == nullptr) {
+      return;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      out = v->as_double().value_or(out);
+    } else if constexpr (std::is_signed_v<T>) {
+      out = static_cast<T>(v->as_i64().value_or(out));
+    } else {
+      out = static_cast<T>(v->as_u64().value_or(out));
+    }
+  }
+  void numbers(const char* key, std::vector<double>& out) {
+    if (const JsonValue* v = get(key, JsonValue::Kind::kArray, true)) {
+      for (const JsonValue& x : v->items()) {
+        ok_ = ok_ && x.is_number();
+        out.push_back(x.as_double().value_or(0.0));
+      }
+    }
+  }
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  const JsonValue* get(const char* key, JsonValue::Kind kind,
+                       bool required) {
+    const JsonValue* v = doc_.find(key);
+    if (v == nullptr ? required : v->kind() != kind) {
+      ok_ = false;
+    }
+    return ok_ ? v : nullptr;
+  }
+
+  const JsonValue& doc_;
+  bool ok_ = true;
+};
+
 std::optional<Opcode> opcode_by_name(const std::string& name) {
   for (Opcode op : kAllOpcodes) {
     if (opcode_name(op) == name) {
@@ -72,9 +129,15 @@ std::optional<Opcode> opcode_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-// ------------------------------------------------- engine-differential
+// ------------------------------------------------ backend-differential
 
-constexpr const char* kEngineName = "engine-differential";
+constexpr const char* kBackendName = "backend-differential";
+
+/// The families this one absorbed. Their repro files still replay here:
+/// the names resolve to this family, and the case decoder accepts their
+/// tags, defaulting the fields their schemas lacked.
+constexpr std::array<std::string_view, 3> kAbsorbedNames = {
+    "engine-differential", "simd-differential", "scenario-differential"};
 
 /// Percent pool for generated sweeps: the low-rate half of the paper
 /// sweep. High percentages add runtime without adding scheduling
@@ -83,17 +146,25 @@ constexpr const char* kEngineName = "engine-differential";
 const std::vector<double> kPercentPool = {0.0, 0.05, 0.1, 0.5, 1.0,
                                           2.0, 3.0,  5.0, 10.0};
 
-struct EngineCase {
+/// One generated experiment (ALU, percents, trials, seed, fault policy,
+/// scope, wear-out schedule, 2-D burst) and the execution shape it is
+/// replayed in: wide-engine lanes and pool threads.
+struct BackendCase {
   std::string alu;
   std::vector<double> percents;
   int trials = 1;
   std::uint64_t seed = 0;
   std::string policy = "round";  // round | floor | bernoulli | burst
   std::size_t burst_length = 1;
+  std::size_t burst_rows = 1;
+  std::size_t burst_row_stride = 0;  // 0 = historical 1-D runs
   std::string scope = "all";  // all | datapath
   std::size_t datapath_sites = 0;
-  unsigned lanes = 2;    // batched-engine lanes for the batched variants
-  unsigned threads = 2;  // pool width for the threaded variants
+  std::string schedule = "constant";  // constant | linear | weibull
+  double end_factor = 1.0;
+  double shape = 1.0;
+  unsigned lanes = 2;    // 1..512 wide-engine lanes
+  unsigned threads = 2;  // pool width of every threaded pass
 };
 
 std::optional<FaultCountPolicy> parse_policy(const std::string& s) {
@@ -104,525 +175,6 @@ std::optional<FaultCountPolicy> parse_policy(const std::string& s) {
   return std::nullopt;
 }
 
-EngineCase generate_engine_case(Gen& g) {
-  const std::vector<AluSpec>& specs = all_specs();
-  const AluSpec& spec = specs[g.below(specs.size())];
-  EngineCase c;
-  c.alu = spec.name;
-  const std::size_t n_percents = g.length(1, 3);
-  for (std::uint64_t i :
-       g.distinct_below(kPercentPool.size(), n_percents)) {
-    c.percents.push_back(kPercentPool[i]);
-  }
-  c.trials = static_cast<int>(g.in_range(1, 2));
-  c.seed = g.u64();
-  c.policy = g.pick({std::string("round"), std::string("floor"),
-                     std::string("bernoulli"), std::string("burst")});
-  c.burst_length = c.policy == "burst" ? g.in_range(1, 4) : 1;
-  if (g.boolean(0.3)) {
-    c.scope = "datapath";
-    c.datapath_sites = g.in_range(1, spec.expected_sites);
-  }
-  // Full wide-engine range: 1..64 exercises the single-word layout,
-  // 65..512 the multi-word SIMD substrate (2/4/8 lane words).
-  c.lanes = static_cast<unsigned>(g.in_range(1, 512));
-  c.threads = static_cast<unsigned>(g.in_range(2, 4));
-  return c;
-}
-
-std::string engine_case_json(const EngineCase& c) {
-  std::ostringstream os;
-  os << "{\"family\": \"" << kEngineName << "\", \"alu\": \""
-     << json_escape(c.alu) << "\", \"percents\": [";
-  for (std::size_t i = 0; i < c.percents.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << json_double(c.percents[i]);
-  }
-  os << "], \"trials\": " << c.trials << ", \"seed\": " << c.seed
-     << ", \"policy\": \"" << c.policy
-     << "\", \"burst_length\": " << c.burst_length << ", \"scope\": \""
-     << c.scope << "\", \"datapath_sites\": " << c.datapath_sites
-     << ", \"lanes\": " << c.lanes << ", \"threads\": " << c.threads
-     << "}";
-  return os.str();
-}
-
-std::optional<EngineCase> engine_case_from_json(const JsonValue& doc) {
-  if (!family_matches(doc, kEngineName)) {
-    return std::nullopt;
-  }
-  const JsonValue* alu = require(doc, "alu", JsonValue::Kind::kString);
-  const JsonValue* percents =
-      require(doc, "percents", JsonValue::Kind::kArray);
-  const JsonValue* trials = require(doc, "trials", JsonValue::Kind::kNumber);
-  const JsonValue* seed = require(doc, "seed", JsonValue::Kind::kNumber);
-  const JsonValue* policy = require(doc, "policy", JsonValue::Kind::kString);
-  const JsonValue* burst =
-      require(doc, "burst_length", JsonValue::Kind::kNumber);
-  const JsonValue* scope = require(doc, "scope", JsonValue::Kind::kString);
-  const JsonValue* dp =
-      require(doc, "datapath_sites", JsonValue::Kind::kNumber);
-  const JsonValue* lanes = require(doc, "lanes", JsonValue::Kind::kNumber);
-  const JsonValue* threads =
-      require(doc, "threads", JsonValue::Kind::kNumber);
-  if (alu == nullptr || percents == nullptr || trials == nullptr ||
-      seed == nullptr || policy == nullptr || burst == nullptr ||
-      scope == nullptr || dp == nullptr || lanes == nullptr ||
-      threads == nullptr) {
-    return std::nullopt;
-  }
-  EngineCase c;
-  c.alu = alu->as_string();
-  for (const JsonValue& p : percents->items()) {
-    if (!p.is_number()) {
-      return std::nullopt;
-    }
-    c.percents.push_back(p.as_double().value_or(0.0));
-  }
-  c.trials = static_cast<int>(trials->as_i64().value_or(1));
-  c.seed = seed->as_u64().value_or(0);
-  c.policy = policy->as_string();
-  c.burst_length =
-      static_cast<std::size_t>(burst->as_u64().value_or(1));
-  c.scope = scope->as_string();
-  c.datapath_sites = static_cast<std::size_t>(dp->as_u64().value_or(0));
-  c.lanes = static_cast<unsigned>(lanes->as_u64().value_or(1));
-  c.threads = static_cast<unsigned>(threads->as_u64().value_or(2));
-  return c;
-}
-
-std::optional<std::string> compare_points(
-    const std::vector<DataPoint>& base, const std::vector<DataPoint>& got,
-    const char* variant) {
-  auto fail = [&](std::size_t i, const char* field, const std::string& b,
-                  const std::string& g) {
-    std::ostringstream os;
-    os << variant << " diverges from scalar-serial baseline at point " << i
-       << ": " << field << " " << g << " != " << b;
-    return os.str();
-  };
-  if (got.size() != base.size()) {
-    std::ostringstream os;
-    os << variant << " returned " << got.size() << " points, baseline "
-       << base.size();
-    return os.str();
-  }
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    const DataPoint& b = base[i];
-    const DataPoint& g = got[i];
-    if (g.alu != b.alu) {
-      return fail(i, "alu", b.alu, g.alu);
-    }
-    if (g.fault_percent != b.fault_percent) {
-      return fail(i, "fault_percent", show(b.fault_percent),
-                  show(g.fault_percent));
-    }
-    if (g.mean_percent_correct != b.mean_percent_correct) {
-      return fail(i, "mean_percent_correct", show(b.mean_percent_correct),
-                  show(g.mean_percent_correct));
-    }
-    if (g.stddev != b.stddev) {
-      return fail(i, "stddev", show(b.stddev), show(g.stddev));
-    }
-    if (g.ci95 != b.ci95) {
-      return fail(i, "ci95", show(b.ci95), show(g.ci95));
-    }
-    if (g.samples != b.samples) {
-      return fail(i, "samples", std::to_string(b.samples),
-                  std::to_string(g.samples));
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> run_engine_case(const EngineCase& c) {
-  const std::unique_ptr<IAlu> alu = make_alu(c.alu);
-  if (alu == nullptr) {
-    return "invalid case: unknown alu '" + c.alu + "'";
-  }
-  const std::optional<FaultCountPolicy> policy = parse_policy(c.policy);
-  if (!policy.has_value()) {
-    return "invalid case: unknown policy '" + c.policy + "'";
-  }
-  if (c.scope != "all" && c.scope != "datapath") {
-    return "invalid case: unknown scope '" + c.scope + "'";
-  }
-  if (c.percents.empty() || c.trials < 1 || c.lanes < 1 ||
-      c.burst_length < 1) {
-    return "invalid case: empty percents or non-positive knob";
-  }
-  if (c.scope == "datapath" &&
-      (c.datapath_sites < 1 || c.datapath_sites > alu->fault_sites())) {
-    return "invalid case: datapath_sites out of [1, fault_sites]";
-  }
-
-  SweepSpec spec;
-  spec.percents = c.percents;
-  spec.trials_per_workload = c.trials;
-  spec.seed = c.seed;
-  spec.policy = *policy;
-  spec.burst_length = c.burst_length;
-  spec.scope = c.scope == "datapath" ? InjectionScope::kDatapathOnly
-                                     : InjectionScope::kAll;
-  spec.datapath_sites = c.scope == "datapath" ? c.datapath_sites : 0;
-
-  const std::vector<std::vector<Instruction>> streams =
-      paper_streams(c.seed);
-
-  const auto engine = [](unsigned threads, unsigned lanes) {
-    ParallelConfig par;
-    par.threads = threads;
-    par.batch_lanes = lanes;
-    return TrialEngine(par);
-  };
-
-  // Baseline: scalar trials, serial schedule.
-  const std::vector<DataPoint> base =
-      engine(1, 0).sweep(*alu, streams, spec);
-
-  struct Variant {
-    const char* name;
-    unsigned threads;
-    unsigned lanes;
-  };
-  const Variant variants[] = {
-      {"scalar-threaded", c.threads, 0},
-      {"batched-serial", 1, c.lanes},
-      {"batched-threaded", c.threads, c.lanes},
-  };
-  for (const Variant& v : variants) {
-    if (std::optional<std::string> msg = compare_points(
-            base, engine(v.threads, v.lanes).sweep(*alu, streams, spec),
-            v.name)) {
-      return msg;
-    }
-  }
-
-  // Anatomy variants: points must still match the plain baseline
-  // (accounting is passive), and the counters themselves must be
-  // bit-identical scalar-vs-batched under different schedules.
-  const SweepAnatomy scalar_anatomy =
-      engine(1, 0).sweep_anatomy(*alu, streams, spec);
-  if (std::optional<std::string> msg = compare_points(
-          base, scalar_anatomy.points, "anatomy-scalar-serial")) {
-    return msg;
-  }
-  const SweepAnatomy batched_anatomy =
-      engine(c.threads, c.lanes).sweep_anatomy(*alu, streams, spec);
-  if (std::optional<std::string> msg = compare_points(
-          base, batched_anatomy.points, "anatomy-batched-threaded")) {
-    return msg;
-  }
-  if (scalar_anatomy.metrics.size() != batched_anatomy.metrics.size()) {
-    return "anatomy metrics count differs scalar vs batched";
-  }
-  for (std::size_t i = 0; i < scalar_anatomy.metrics.size(); ++i) {
-    if (!(scalar_anatomy.metrics[i] == batched_anatomy.metrics[i])) {
-      std::ostringstream os;
-      os << "anatomy counters diverge scalar vs batched at percent index "
-         << i << " (" << show(spec.percents[i]) << "%)";
-      return os.str();
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<EngineCase> shrink_engine_case(const EngineCase& c) {
-  std::vector<EngineCase> out;
-  if (c.percents.size() > 1) {
-    for (std::size_t i = 0; i < c.percents.size(); ++i) {
-      EngineCase s = c;
-      s.percents.erase(s.percents.begin() + static_cast<std::ptrdiff_t>(i));
-      out.push_back(std::move(s));
-    }
-  }
-  if (c.trials > 1) {
-    EngineCase s = c;
-    s.trials = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.policy != "round") {
-    EngineCase s = c;
-    s.policy = "round";
-    s.burst_length = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.scope != "all") {
-    EngineCase s = c;
-    s.scope = "all";
-    s.datapath_sites = 0;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 64) {
-    // First shrink multi-word layouts back to the single-word substrate;
-    // only then all the way to one lane.
-    EngineCase s = c;
-    s.lanes = 64;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 1) {
-    EngineCase s = c;
-    s.lanes = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.threads > 2) {
-    EngineCase s = c;
-    s.threads = 2;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-// ------------------------------------------------- simd-differential
-
-constexpr const char* kSimdName = "simd-differential";
-
-/// One generated SweepSpec run through the wide lane engine under EVERY
-/// compiled-in + CPU-supported dispatch tier (forced via
-/// ScopedTierOverride), each compared bit-for-bit — points AND anatomy
-/// counters — against the scalar trial engine. Comparing every tier to
-/// the same baseline implies the tiers are pairwise identical.
-struct SimdCase {
-  std::string alu;
-  std::vector<double> percents;
-  int trials = 1;
-  std::uint64_t seed = 0;
-  std::string policy = "round";  // round | floor | bernoulli | burst
-  std::size_t burst_length = 1;
-  std::string scope = "all";  // all | datapath
-  std::size_t datapath_sites = 0;
-  unsigned lanes = 2;  // 1..512 wide-engine lanes
-};
-
-SimdCase generate_simd_case(Gen& g) {
-  const std::vector<AluSpec>& specs = all_specs();
-  const AluSpec& spec = specs[g.below(specs.size())];
-  SimdCase c;
-  c.alu = spec.name;
-  const std::size_t n_percents = g.length(1, 2);
-  for (std::uint64_t i :
-       g.distinct_below(kPercentPool.size(), n_percents)) {
-    c.percents.push_back(kPercentPool[i]);
-  }
-  // Mostly cheap cases; occasionally enough trials to spill past the
-  // first 64-lane word so the multi-word active masks and cross-word
-  // scoring actually run with more than a partial group.
-  c.trials = static_cast<int>(g.boolean(0.25) ? g.in_range(65, 140)
-                                              : g.in_range(1, 4));
-  c.seed = g.u64();
-  c.policy = g.pick({std::string("round"), std::string("floor"),
-                     std::string("bernoulli"), std::string("burst")});
-  c.burst_length = c.policy == "burst" ? g.in_range(1, 4) : 1;
-  if (g.boolean(0.3)) {
-    c.scope = "datapath";
-    c.datapath_sites = g.in_range(1, spec.expected_sites);
-  }
-  c.lanes = static_cast<unsigned>(g.in_range(1, 512));
-  return c;
-}
-
-std::string simd_case_json(const SimdCase& c) {
-  std::ostringstream os;
-  os << "{\"family\": \"" << kSimdName << "\", \"alu\": \""
-     << json_escape(c.alu) << "\", \"percents\": [";
-  for (std::size_t i = 0; i < c.percents.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << json_double(c.percents[i]);
-  }
-  os << "], \"trials\": " << c.trials << ", \"seed\": " << c.seed
-     << ", \"policy\": \"" << c.policy
-     << "\", \"burst_length\": " << c.burst_length << ", \"scope\": \""
-     << c.scope << "\", \"datapath_sites\": " << c.datapath_sites
-     << ", \"lanes\": " << c.lanes << "}";
-  return os.str();
-}
-
-std::optional<SimdCase> simd_case_from_json(const JsonValue& doc) {
-  if (!family_matches(doc, kSimdName)) {
-    return std::nullopt;
-  }
-  const JsonValue* alu = require(doc, "alu", JsonValue::Kind::kString);
-  const JsonValue* percents =
-      require(doc, "percents", JsonValue::Kind::kArray);
-  const JsonValue* trials = require(doc, "trials", JsonValue::Kind::kNumber);
-  const JsonValue* seed = require(doc, "seed", JsonValue::Kind::kNumber);
-  const JsonValue* policy = require(doc, "policy", JsonValue::Kind::kString);
-  const JsonValue* burst =
-      require(doc, "burst_length", JsonValue::Kind::kNumber);
-  const JsonValue* scope = require(doc, "scope", JsonValue::Kind::kString);
-  const JsonValue* dp =
-      require(doc, "datapath_sites", JsonValue::Kind::kNumber);
-  const JsonValue* lanes = require(doc, "lanes", JsonValue::Kind::kNumber);
-  if (alu == nullptr || percents == nullptr || trials == nullptr ||
-      seed == nullptr || policy == nullptr || burst == nullptr ||
-      scope == nullptr || dp == nullptr || lanes == nullptr) {
-    return std::nullopt;
-  }
-  SimdCase c;
-  c.alu = alu->as_string();
-  for (const JsonValue& p : percents->items()) {
-    if (!p.is_number()) {
-      return std::nullopt;
-    }
-    c.percents.push_back(p.as_double().value_or(0.0));
-  }
-  c.trials = static_cast<int>(trials->as_i64().value_or(1));
-  c.seed = seed->as_u64().value_or(0);
-  c.policy = policy->as_string();
-  c.burst_length =
-      static_cast<std::size_t>(burst->as_u64().value_or(1));
-  c.scope = scope->as_string();
-  c.datapath_sites = static_cast<std::size_t>(dp->as_u64().value_or(0));
-  c.lanes = static_cast<unsigned>(lanes->as_u64().value_or(1));
-  return c;
-}
-
-std::optional<std::string> run_simd_case(const SimdCase& c) {
-  const std::unique_ptr<IAlu> alu = make_alu(c.alu);
-  if (alu == nullptr) {
-    return "invalid case: unknown alu '" + c.alu + "'";
-  }
-  const std::optional<FaultCountPolicy> policy = parse_policy(c.policy);
-  if (!policy.has_value()) {
-    return "invalid case: unknown policy '" + c.policy + "'";
-  }
-  if (c.scope != "all" && c.scope != "datapath") {
-    return "invalid case: unknown scope '" + c.scope + "'";
-  }
-  if (c.percents.empty() || c.trials < 1 || c.lanes < 1 ||
-      c.lanes > kMaxBatchLanes || c.burst_length < 1) {
-    return "invalid case: empty percents or knob out of range";
-  }
-  if (c.scope == "datapath" &&
-      (c.datapath_sites < 1 || c.datapath_sites > alu->fault_sites())) {
-    return "invalid case: datapath_sites out of [1, fault_sites]";
-  }
-
-  SweepSpec spec;
-  spec.percents = c.percents;
-  spec.trials_per_workload = c.trials;
-  spec.seed = c.seed;
-  spec.policy = *policy;
-  spec.burst_length = c.burst_length;
-  spec.scope = c.scope == "datapath" ? InjectionScope::kDatapathOnly
-                                     : InjectionScope::kAll;
-  spec.datapath_sites = c.scope == "datapath" ? c.datapath_sites : 0;
-
-  const std::vector<std::vector<Instruction>> streams =
-      paper_streams(c.seed);
-
-  const auto engine = [](unsigned lanes) {
-    ParallelConfig par;
-    par.threads = 1;
-    par.batch_lanes = lanes;
-    return TrialEngine(par);
-  };
-
-  // Baseline: the scalar trial engine (no lanes, no tiers involved).
-  const SweepAnatomy base = engine(0).sweep_anatomy(*alu, streams, spec);
-
-  const simd::SimdTier tiers[] = {simd::SimdTier::kScalar,
-                                  simd::SimdTier::kAvx2,
-                                  simd::SimdTier::kAvx512};
-  for (const simd::SimdTier tier : tiers) {
-    if (!simd::tier_supported(tier)) {
-      continue;
-    }
-    const simd::ScopedTierOverride forced(tier);
-    const SweepAnatomy got = engine(c.lanes).sweep_anatomy(*alu, streams,
-                                                           spec);
-    std::string variant = "wide-";
-    variant += simd::tier_name(tier);
-    variant += "@" + std::to_string(c.lanes) + "-lanes";
-    if (std::optional<std::string> msg =
-            compare_points(base.points, got.points, variant.c_str())) {
-      return msg;
-    }
-    if (base.metrics.size() != got.metrics.size()) {
-      return variant + ": anatomy metrics count differs from scalar";
-    }
-    for (std::size_t i = 0; i < base.metrics.size(); ++i) {
-      if (!(base.metrics[i] == got.metrics[i])) {
-        std::ostringstream os;
-        os << variant
-           << ": anatomy counters diverge from scalar at percent index "
-           << i << " (" << show(spec.percents[i]) << "%)";
-        return os.str();
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<SimdCase> shrink_simd_case(const SimdCase& c) {
-  std::vector<SimdCase> out;
-  if (c.percents.size() > 1) {
-    for (std::size_t i = 0; i < c.percents.size(); ++i) {
-      SimdCase s = c;
-      s.percents.erase(s.percents.begin() + static_cast<std::ptrdiff_t>(i));
-      out.push_back(std::move(s));
-    }
-  }
-  if (c.trials > 1) {
-    SimdCase s = c;
-    s.trials = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.policy != "round") {
-    SimdCase s = c;
-    s.policy = "round";
-    s.burst_length = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.scope != "all") {
-    SimdCase s = c;
-    s.scope = "all";
-    s.datapath_sites = 0;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 64) {
-    SimdCase s = c;
-    s.lanes = 64;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 1) {
-    SimdCase s = c;
-    s.lanes = 1;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-// --------------------------------------------- scenario-differential
-
-constexpr const char* kScenarioName = "scenario-differential";
-
-/// A generated FaultScenario — wear-out rate schedule plus 2-D burst
-/// geometry — checked two ways in one case. First the generator laws
-/// directly: the schedule anchors at the base rate, ramps monotonically
-/// to clamp(base * end_factor), and stays in [0, 100]; every burst flip
-/// lands inside a declared L×R strike neighbourhood (anchors replayed
-/// from a twin Rng); a remap plan is injective and, when feasible,
-/// never reads a known-defective site. Then the differential: the
-/// scenario sweep must be bit-identical through scalar-serial,
-/// scalar-threaded, every forced SIMD tier at the generated lane count,
-/// and the threaded wide engine — and when the schedule degenerates to
-/// i.i.d. (constant kind or end_factor == 1) with 1-D bursts, it must
-/// reproduce the default-scenario sweep bitwise, seeds and all.
-struct ScenarioCase {
-  std::string alu;
-  std::vector<double> percents;
-  int trials = 1;
-  std::uint64_t seed = 0;
-  std::string policy = "round";  // round | floor | bernoulli | burst
-  std::size_t burst_length = 1;
-  std::size_t burst_rows = 1;
-  std::size_t burst_row_stride = 0;  // 0 = historical 1-D runs
-  std::string schedule = "constant";  // constant | linear | weibull
-  double end_factor = 1.0;
-  double shape = 1.0;
-  unsigned lanes = 2;    // 1..512 wide-engine lanes
-  unsigned threads = 2;  // pool width for the threaded variants
-};
-
 std::optional<RateScheduleKind> parse_schedule(const std::string& s) {
   if (s == "constant") return RateScheduleKind::kConstant;
   if (s == "linear") return RateScheduleKind::kLinear;
@@ -630,23 +182,64 @@ std::optional<RateScheduleKind> parse_schedule(const std::string& s) {
   return std::nullopt;
 }
 
-ScenarioCase generate_scenario_case(Gen& g) {
+/// A case costs what its three scalar passes cost (the wide engine runs
+/// most trials two orders of magnitude faster). A scalar trial takes 2-6
+/// ms on the hw read path, which the wide engine also runs per lane, and
+/// 1.7-2.6 ms for coded LUTs in a redundant module; the rest under 1.3.
+bool slow_scalar_trials(const AluSpec& s) {
+  const bool coded = s.bit == BitLevel::kHamming ||
+                     s.bit == BitLevel::kHsiao ||
+                     s.bit == BitLevel::kHammingIdeal ||
+                     s.bit == BitLevel::kReedSolomon;
+  return s.bit == BitLevel::kTmrHw ||
+         (coded && s.module != ModuleLevel::kNone);
+}
+
+/// A ramp to total wear-out: every pool rate passes 100% before the last
+/// trial, where the schedule must clamp.
+constexpr double kTotalWearOut = 5000.0;
+
+BackendCase generate_backend_case(Gen& g) {
   const std::vector<AluSpec>& specs = all_specs();
-  ScenarioCase c;
-  c.alu = specs[g.below(specs.size())].name;
-  const std::size_t n_percents = g.length(1, 2);
+  const AluSpec& spec = specs[g.below(specs.size())];
+  BackendCase c;
+  c.alu = spec.name;
+  // Half the fast ALUs' cases spill past the first lane word, so
+  // multi-word masks and cross-word scoring run on full groups.
+  const bool multi_word = !slow_scalar_trials(spec) && g.boolean(0.5);
+  // Half the cases keep the paper's i.i.d. schedule, the lockstep mask
+  // layer's domain. end_factor 1.0 on a non-constant kind is the
+  // deliberate edge case: the scheduled path must still reproduce the
+  // i.i.d. sweep bitwise. A third of the single-word cases ramp to
+  // total wear-out, whose late trials are dense and slow.
+  c.schedule = g.boolean(0.5) ? std::string("constant")
+                              : g.pick({std::string("linear"),
+                                        std::string("weibull")});
+  c.end_factor = !multi_word && g.boolean(1.0 / 3.0)
+                     ? kTotalWearOut
+                     : g.pick({0.0, 0.5, 1.0, 2.0, 6.0});
+  c.shape = c.schedule == "weibull" ? g.pick({0.5, 2.0, 3.0}) : 1.0;
+  // Only a cheap case sweeps several percents: multi-word groups, the hw
+  // ALUs and wear-out ramps carry one. The hw cases also stay at 1..4
+  // trials, so no case costs more than a few tenths of a second (a fixed
+  // SimdTier test covers the hw bridge across a lane-word boundary).
+  const bool hw = spec.bit == BitLevel::kTmrHw;
+  const std::size_t n_percents =
+      multi_word || hw || c.end_factor == kTotalWearOut ? 1
+                                                        : g.length(1, 3);
   for (std::uint64_t i :
        g.distinct_below(kPercentPool.size(), n_percents)) {
     c.percents.push_back(kPercentPool[i]);
   }
-  // Schedules only vary with the trial index, so most cases carry enough
-  // trials for the ramp to actually move; a few spill past the first
-  // 64-lane word so per-lane generators cross word boundaries.
-  c.trials = static_cast<int>(g.boolean(0.2) ? g.in_range(65, 110)
-                                             : g.in_range(2, 8));
+  c.trials = static_cast<int>(multi_word ? g.in_range(65, 140)
+                                         : g.in_range(1, hw ? 4 : 8));
   c.seed = g.u64();
-  c.policy = g.pick({std::string("round"), std::string("floor"),
-                     std::string("bernoulli"), std::string("burst")});
+  // Bernoulli draws a number per site, so multi-word cases count flips.
+  c.policy = multi_word
+                 ? g.pick({std::string("round"), std::string("floor"),
+                           std::string("burst")})
+                 : g.pick({std::string("round"), std::string("floor"),
+                           std::string("bernoulli"), std::string("burst")});
   if (c.policy == "burst") {
     c.burst_length = g.in_range(1, 4);
     if (g.boolean(0.6)) {
@@ -655,20 +248,20 @@ ScenarioCase generate_scenario_case(Gen& g) {
                                    std::size_t{16}, std::size_t{24}});
     }
   }
-  c.schedule = g.pick({std::string("constant"), std::string("linear"),
-                       std::string("weibull")});
-  // end_factor 1.0 on a non-constant kind is the deliberate edge case:
-  // the scheduled path must still reproduce the i.i.d. sweep bitwise.
-  c.end_factor = g.pick({0.0, 0.5, 1.0, 2.0, 6.0});
-  c.shape = c.schedule == "weibull" ? g.pick({0.5, 2.0, 3.0}) : 1.0;
+  if (g.boolean(0.3)) {
+    c.scope = "datapath";
+    c.datapath_sites = g.in_range(1, spec.expected_sites);
+  }
+  // 1..64 exercises the single-word layout, 65..512 the multi-word SIMD
+  // substrate (2/4/8 lane words).
   c.lanes = static_cast<unsigned>(g.in_range(1, 512));
-  c.threads = static_cast<unsigned>(g.pick({2u, 4u, 8u}));
+  c.threads = static_cast<unsigned>(g.in_range(2, 8));
   return c;
 }
 
-std::string scenario_case_json(const ScenarioCase& c) {
+std::string backend_case_json(const BackendCase& c) {
   std::ostringstream os;
-  os << "{\"family\": \"" << kScenarioName << "\", \"alu\": \""
+  os << "{\"family\": \"" << kBackendName << "\", \"alu\": \""
      << json_escape(c.alu) << "\", \"percents\": [";
   for (std::size_t i = 0; i < c.percents.size(); ++i) {
     os << (i == 0 ? "" : ", ") << json_double(c.percents[i]);
@@ -678,6 +271,8 @@ std::string scenario_case_json(const ScenarioCase& c) {
      << "\", \"burst_length\": " << c.burst_length
      << ", \"burst_rows\": " << c.burst_rows
      << ", \"burst_row_stride\": " << c.burst_row_stride
+     << ", \"scope\": \"" << c.scope
+     << "\", \"datapath_sites\": " << c.datapath_sites
      << ", \"schedule\": \"" << c.schedule
      << "\", \"end_factor\": " << json_double(c.end_factor)
      << ", \"shape\": " << json_double(c.shape)
@@ -686,66 +281,88 @@ std::string scenario_case_json(const ScenarioCase& c) {
   return os.str();
 }
 
-std::optional<ScenarioCase> scenario_case_from_json(const JsonValue& doc) {
-  if (!family_matches(doc, kScenarioName)) {
+std::optional<BackendCase> backend_case_from_json(const JsonValue& doc) {
+  const JsonValue* fam = require(doc, "family", JsonValue::Kind::kString);
+  if (fam == nullptr ||
+      (fam->as_string() != kBackendName &&
+       std::ranges::find(kAbsorbedNames, fam->as_string()) ==
+           kAbsorbedNames.end())) {
     return std::nullopt;
   }
-  const JsonValue* alu = require(doc, "alu", JsonValue::Kind::kString);
-  const JsonValue* percents =
-      require(doc, "percents", JsonValue::Kind::kArray);
-  const JsonValue* trials = require(doc, "trials", JsonValue::Kind::kNumber);
-  const JsonValue* seed = require(doc, "seed", JsonValue::Kind::kNumber);
-  const JsonValue* policy = require(doc, "policy", JsonValue::Kind::kString);
-  const JsonValue* burst =
-      require(doc, "burst_length", JsonValue::Kind::kNumber);
-  const JsonValue* rows =
-      require(doc, "burst_rows", JsonValue::Kind::kNumber);
-  const JsonValue* stride =
-      require(doc, "burst_row_stride", JsonValue::Kind::kNumber);
-  const JsonValue* schedule =
-      require(doc, "schedule", JsonValue::Kind::kString);
-  const JsonValue* ef =
-      require(doc, "end_factor", JsonValue::Kind::kNumber);
-  const JsonValue* shape = require(doc, "shape", JsonValue::Kind::kNumber);
-  const JsonValue* lanes = require(doc, "lanes", JsonValue::Kind::kNumber);
-  const JsonValue* threads =
-      require(doc, "threads", JsonValue::Kind::kNumber);
-  if (alu == nullptr || percents == nullptr || trials == nullptr ||
-      seed == nullptr || policy == nullptr || burst == nullptr ||
-      rows == nullptr || stride == nullptr || schedule == nullptr ||
-      ef == nullptr || shape == nullptr || lanes == nullptr ||
-      threads == nullptr) {
-    return std::nullopt;
-  }
-  ScenarioCase c;
-  c.alu = alu->as_string();
-  for (const JsonValue& p : percents->items()) {
-    if (!p.is_number()) {
-      return std::nullopt;
-    }
-    c.percents.push_back(p.as_double().value_or(0.0));
-  }
-  c.trials = static_cast<int>(trials->as_i64().value_or(1));
-  c.seed = seed->as_u64().value_or(0);
-  c.policy = policy->as_string();
-  c.burst_length =
-      static_cast<std::size_t>(burst->as_u64().value_or(1));
-  c.burst_rows = static_cast<std::size_t>(rows->as_u64().value_or(1));
-  c.burst_row_stride =
-      static_cast<std::size_t>(stride->as_u64().value_or(0));
-  c.schedule = schedule->as_string();
-  c.end_factor = ef->as_double().value_or(1.0);
-  c.shape = shape->as_double().value_or(1.0);
-  c.lanes = static_cast<unsigned>(lanes->as_u64().value_or(1));
-  c.threads = static_cast<unsigned>(threads->as_u64().value_or(2));
-  return c;
+  FieldReader r(doc);
+  BackendCase c;
+  // Required: the fields every absorbed family's schema carried.
+  r.text("alu", c.alu, true);
+  r.numbers("percents", c.percents);
+  r.number("trials", c.trials, true);
+  r.number("seed", c.seed, true);
+  r.text("policy", c.policy, true);
+  r.number("burst_length", c.burst_length, true);
+  r.number("lanes", c.lanes, true);
+  r.number("burst_rows", c.burst_rows);
+  r.number("burst_row_stride", c.burst_row_stride);
+  r.text("scope", c.scope);
+  r.number("datapath_sites", c.datapath_sites);
+  r.text("schedule", c.schedule);
+  r.number("end_factor", c.end_factor);
+  r.number("shape", c.shape);
+  r.number("threads", c.threads);
+  return r.ok() ? std::optional<BackendCase>(c) : std::nullopt;
 }
 
-/// The generator-law half of a scenario case: pure checks on the
-/// schedule curve, the burst neighbourhood, and the remap plan, no
-/// engine involved. Counterexamples here shrink exactly like
-/// differential ones.
-std::optional<std::string> scenario_laws(const ScenarioCase& c,
+std::string show(const DataPoint& p) {
+  return p.alu + " @" + show(p.fault_percent) + "%: mean " +
+         show(p.mean_percent_correct) + ", stddev " + show(p.stddev) +
+         ", ci95 " + show(p.ci95) + ", samples " + std::to_string(p.samples);
+}
+
+std::optional<std::string> compare_points(
+    const std::vector<DataPoint>& base, const std::vector<DataPoint>& got,
+    const std::string& variant) {
+  if (got.size() != base.size()) {
+    return variant + " returned " + std::to_string(got.size()) +
+           " points, baseline " + std::to_string(base.size());
+  }
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const DataPoint& b = base[i];
+    const DataPoint& g = got[i];
+    if (g.alu != b.alu || g.fault_percent != b.fault_percent ||
+        g.mean_percent_correct != b.mean_percent_correct ||
+        g.stddev != b.stddev || g.ci95 != b.ci95 || g.samples != b.samples) {
+      return variant + " diverges from scalar-serial baseline at point " +
+             std::to_string(i) + ": " + show(g) + " != " + show(b);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Points, then every anatomy counter (scenario counters included).
+std::optional<std::string> compare_anatomy(const SweepAnatomy& base,
+                                           const SweepAnatomy& got,
+                                           const std::string& variant) {
+  if (std::optional<std::string> msg =
+          compare_points(base.points, got.points, variant)) {
+    return msg;
+  }
+  if (base.metrics.size() != got.metrics.size()) {
+    return variant + ": anatomy metrics count differs from baseline";
+  }
+  for (std::size_t i = 0; i < base.metrics.size(); ++i) {
+    if (!(base.metrics[i] == got.metrics[i])) {
+      return variant +
+             ": anatomy counters diverge from scalar-serial baseline at "
+             "percent index " +
+             std::to_string(i) + " (" + show(base.points[i].fault_percent) +
+             "%)";
+    }
+  }
+  return std::nullopt;
+}
+
+/// The generator laws of a case's scenario: pure checks on the schedule
+/// curve, the burst neighbourhood, and the remap plan, no engine
+/// involved. Counterexamples here shrink exactly like differential ones.
+std::optional<std::string> scenario_laws(const BackendCase& c,
                                          const IAlu& alu,
                                          const RateSchedule& sched) {
   const auto trials = static_cast<std::size_t>(c.trials);
@@ -871,7 +488,11 @@ std::optional<std::string> scenario_laws(const ScenarioCase& c,
   return std::nullopt;
 }
 
-std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
+/// Every contract of the family (oracles.hpp), each checked once against
+/// one scalar-serial anatomy baseline. Every other engine pass runs at
+/// the case's thread count, so one pass covers several contracts (tier ×
+/// threads, plain sweep × threads).
+std::optional<std::string> run_backend_case(const BackendCase& c) {
   const std::unique_ptr<IAlu> alu = make_alu(c.alu);
   if (alu == nullptr) {
     return "invalid case: unknown alu '" + c.alu + "'";
@@ -884,8 +505,12 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   if (!kind.has_value()) {
     return "invalid case: unknown schedule '" + c.schedule + "'";
   }
+  if (c.scope != "all" && c.scope != "datapath") {
+    return "invalid case: unknown scope '" + c.scope + "'";
+  }
   if (c.percents.empty() || c.trials < 1 || c.lanes < 1 ||
-      c.lanes > kMaxBatchLanes || c.burst_length < 1 || c.burst_rows < 1) {
+      c.lanes > kMaxBatchLanes || c.threads < 1 || c.burst_length < 1 ||
+      c.burst_rows < 1) {
     return "invalid case: empty percents or knob out of range";
   }
   if (c.burst_rows > 1 && c.burst_row_stride == 0) {
@@ -894,6 +519,10 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   if (!(c.end_factor >= 0.0) || !(c.shape > 0.0)) {
     return "invalid case: end_factor must be >= 0 and shape > 0";
   }
+  if (c.scope == "datapath" &&
+      (c.datapath_sites < 1 || c.datapath_sites > alu->fault_sites())) {
+    return "invalid case: datapath_sites out of [1, fault_sites]";
+  }
 
   SweepSpec spec;
   spec.percents = c.percents;
@@ -901,151 +530,123 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   spec.seed = c.seed;
   spec.policy = *policy;
   spec.burst_length = c.burst_length;
+  spec.scope = c.scope == "datapath" ? InjectionScope::kDatapathOnly
+                                     : InjectionScope::kAll;
+  spec.datapath_sites = c.scope == "datapath" ? c.datapath_sites : 0;
   spec.scenario.schedule.kind = *kind;
   spec.scenario.schedule.end_factor = c.end_factor;
   spec.scenario.schedule.shape = c.shape;
   spec.scenario.burst_rows = c.burst_rows;
   spec.scenario.burst_row_stride = c.burst_row_stride;
 
-  if (std::optional<std::string> msg =
-          scenario_laws(c, *alu, spec.scenario.schedule)) {
-    return msg;
+  if (*kind != RateScheduleKind::kConstant ||
+      *policy == FaultCountPolicy::kBurst) {
+    if (std::optional<std::string> msg =
+            scenario_laws(c, *alu, spec.scenario.schedule)) {
+      return msg;
+    }
   }
 
   const std::vector<std::vector<Instruction>> streams =
       paper_streams(c.seed);
-
   const auto engine = [](unsigned threads, unsigned lanes) {
     ParallelConfig par;
     par.threads = threads;
     par.batch_lanes = lanes;
     return TrialEngine(par);
   };
-  const auto compare_anatomy = [&](const SweepAnatomy& base,
-                                   const SweepAnatomy& got,
-                                   const std::string& variant)
-      -> std::optional<std::string> {
-    if (std::optional<std::string> msg =
-            compare_points(base.points, got.points, variant.c_str())) {
-      return msg;
-    }
-    if (base.metrics.size() != got.metrics.size()) {
-      return variant + ": anatomy metrics count differs from baseline";
-    }
-    for (std::size_t i = 0; i < base.metrics.size(); ++i) {
-      if (!(base.metrics[i] == got.metrics[i])) {
-        std::ostringstream os;
-        os << variant
-           << ": anatomy counters (incl. scenario) diverge at percent "
-              "index "
-           << i << " (" << show(spec.percents[i]) << "%)";
-        return os.str();
-      }
-    }
-    return std::nullopt;
-  };
+  const TrialEngine scalar = engine(c.threads, 0);
+  const TrialEngine wide = engine(c.threads, c.lanes);
+  const std::string at = "@" + std::to_string(c.threads) + "-threads";
+  const std::string wide_at = "@" + std::to_string(c.lanes) + "-lanes" + at;
 
-  // Baseline: scalar trials, serial schedule, anatomy on (the scenario
-  // counters ride the comparison).
   const SweepAnatomy base = engine(1, 0).sweep_anatomy(*alu, streams, spec);
-
-  // An i.i.d.-degenerate schedule with 1-D bursts IS today's fault
-  // model: it must reproduce the default-scenario sweep bit-for-bit —
-  // same trial seeds, same points, same non-scenario counters.
-  if (spec.scenario.is_iid() && c.burst_row_stride == 0) {
-    SweepSpec plain = spec;
-    plain.scenario = FaultScenario{};
-    const SweepAnatomy iid =
-        engine(1, 0).sweep_anatomy(*alu, streams, plain);
-    if (std::optional<std::string> msg = compare_points(
-            iid.points, base.points, "iid-degenerate-schedule")) {
-      return msg;
-    }
-  }
-
   if (std::optional<std::string> msg = compare_anatomy(
-          base, engine(c.threads, 0).sweep_anatomy(*alu, streams, spec),
-          "scalar-" + std::to_string(c.threads) + "-threads")) {
+          base, scalar.sweep_anatomy(*alu, streams, spec), "scalar" + at)) {
     return msg;
   }
-
-  const simd::SimdTier tiers[] = {simd::SimdTier::kScalar,
-                                  simd::SimdTier::kAvx2,
-                                  simd::SimdTier::kAvx512};
-  for (const simd::SimdTier tier : tiers) {
+  // The scalar plain sweep. An i.i.d.-degenerate scenario IS today's
+  // fault model, so when the case carries one that differs from the
+  // default, this pass runs the default scenario instead and the same
+  // comparison checks both contracts.
+  SweepSpec plain = spec;
+  std::string plain_name = "scalar-sweep" + at;
+  if (spec.scenario != FaultScenario{} && spec.scenario.is_iid() &&
+      spec.scenario.burst_row_stride == 0) {
+    plain.scenario = FaultScenario{};
+    plain_name += " (i.i.d.-degenerate scenario as the default)";
+  }
+  if (std::optional<std::string> msg = compare_points(
+          base.points, scalar.sweep(*alu, streams, plain), plain_name)) {
+    return msg;
+  }
+  for (const simd::SimdTier tier :
+       {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
+        simd::SimdTier::kAvx512}) {
     if (!simd::tier_supported(tier)) {
       continue;
     }
     const simd::ScopedTierOverride forced(tier);
-    std::string variant = "wide-";
-    variant += simd::tier_name(tier);
-    variant += "@" + std::to_string(c.lanes) + "-lanes";
     if (std::optional<std::string> msg = compare_anatomy(
-            base, engine(1, c.lanes).sweep_anatomy(*alu, streams, spec),
-            variant)) {
+            base, wide.sweep_anatomy(*alu, streams, spec),
+            "wide-" + std::string(simd::tier_name(tier)) + wide_at)) {
       return msg;
     }
   }
-
-  return compare_anatomy(
-      base, engine(c.threads, c.lanes).sweep_anatomy(*alu, streams, spec),
-      "wide-threaded@" + std::to_string(c.lanes) + "-lanes");
+  return compare_points(base.points, wide.sweep(*alu, streams, spec),
+                        "wide-sweep" + wide_at);
 }
 
-std::vector<ScenarioCase> shrink_scenario_case(const ScenarioCase& c) {
-  std::vector<ScenarioCase> out;
-  if (c.percents.size() > 1) {
-    for (std::size_t i = 0; i < c.percents.size(); ++i) {
-      ScenarioCase s = c;
-      s.percents.erase(s.percents.begin() + static_cast<std::ptrdiff_t>(i));
-      out.push_back(std::move(s));
+std::vector<BackendCase> shrink_backend_case(const BackendCase& c) {
+  std::vector<BackendCase> out;
+  for (std::size_t i = 0; c.percents.size() > 1 && i < c.percents.size();
+       ++i) {
+    BackendCase& s = out.emplace_back(c);
+    s.percents.erase(s.percents.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  // One trial, two (the least a schedule can ramp over), then the
+  // smallest group that spills past the first lane word.
+  for (const int t : {1, 2, 65}) {
+    if (c.trials > t) {
+      out.emplace_back(c).trials = t;
     }
   }
-  if (c.trials > 2) {
-    ScenarioCase s = c;
-    s.trials = 2;
-    out.push_back(std::move(s));
-  }
   if (c.policy != "round") {
-    ScenarioCase s = c;
+    BackendCase& s = out.emplace_back(c);
     s.policy = "round";
     s.burst_length = 1;
     s.burst_rows = 1;
     s.burst_row_stride = 0;
-    out.push_back(std::move(s));
   }
   if (c.burst_row_stride > 0) {
-    ScenarioCase s = c;
+    BackendCase& s = out.emplace_back(c);
     s.burst_rows = 1;
     s.burst_row_stride = 0;
-    out.push_back(std::move(s));
+  }
+  if (c.scope != "all") {
+    BackendCase& s = out.emplace_back(c);
+    s.scope = "all";
+    s.datapath_sites = 0;
   }
   if (c.schedule != "constant") {
-    ScenarioCase s = c;
+    BackendCase& s = out.emplace_back(c);
     s.schedule = "constant";
     s.end_factor = 1.0;
     s.shape = 1.0;
-    out.push_back(std::move(s));
   }
   if (c.end_factor != 1.0) {
-    ScenarioCase s = c;
-    s.end_factor = 1.0;
-    out.push_back(std::move(s));
+    out.emplace_back(c).end_factor = 1.0;
   }
+  // Multi-word layouts first shrink to the single-word substrate, only
+  // then all the way to one lane.
   if (c.lanes > 64) {
-    ScenarioCase s = c;
-    s.lanes = 64;
-    out.push_back(std::move(s));
+    out.emplace_back(c).lanes = 64;
   }
   if (c.lanes > 1) {
-    ScenarioCase s = c;
-    s.lanes = 1;
-    out.push_back(std::move(s));
+    out.emplace_back(c).lanes = 1;
   }
   if (c.threads > 2) {
-    ScenarioCase s = c;
-    s.threads = 2;
-    out.push_back(std::move(s));
+    out.emplace_back(c).threads = 2;
   }
   return out;
 }
@@ -1182,30 +783,22 @@ std::vector<AluCase> shrink_alu_case(const AluCase& c) {
   const std::size_t n = c.instrs.size();
   // Most aggressive first: halves, then single drops, then operand zeroing.
   if (n > 1) {
-    AluCase first = c;
-    first.instrs.resize(n / 2);
-    out.push_back(std::move(first));
-    AluCase second = c;
+    out.emplace_back(c).instrs.resize(n / 2);
+    AluCase& second = out.emplace_back(c);
     second.instrs.erase(second.instrs.begin(),
                         second.instrs.begin() +
                             static_cast<std::ptrdiff_t>(n / 2));
-    out.push_back(std::move(second));
     for (std::size_t i = 0; i < n; ++i) {
-      AluCase s = c;
+      AluCase& s = out.emplace_back(c);
       s.instrs.erase(s.instrs.begin() + static_cast<std::ptrdiff_t>(i));
-      out.push_back(std::move(s));
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (c.instrs[i].a != 0) {
-      AluCase s = c;
-      s.instrs[i].a = 0;
-      out.push_back(std::move(s));
+      out.emplace_back(c).instrs[i].a = 0;
     }
     if (c.instrs[i].b != 0) {
-      AluCase s = c;
-      s.instrs[i].b = 0;
-      out.push_back(std::move(s));
+      out.emplace_back(c).instrs[i].b = 0;
     }
   }
   return out;
@@ -1572,14 +1165,11 @@ std::optional<DecodeCase> decode_case_from_json(const JsonValue& doc) {
 std::vector<DecodeCase> shrink_decode_case(const DecodeCase& c) {
   std::vector<DecodeCase> out;
   for (std::size_t i = 0; i < c.flips.size(); ++i) {
-    DecodeCase s = c;
+    DecodeCase& s = out.emplace_back(c);
     s.flips.erase(s.flips.begin() + static_cast<std::ptrdiff_t>(i));
-    out.push_back(std::move(s));
   }
   if (c.data.find('1') != std::string::npos) {
-    DecodeCase s = c;
-    s.data.assign(c.data.size(), '0');
-    out.push_back(std::move(s));
+    out.emplace_back(c).data.assign(c.data.size(), '0');
   }
   return out;
 }
@@ -1653,39 +1243,19 @@ std::optional<PipelineCase> pipeline_case_from_json(const JsonValue& doc) {
   if (!family_matches(doc, kPipelineName)) {
     return std::nullopt;
   }
-  const JsonValue* mode = require(doc, "mode", JsonValue::Kind::kString);
-  const JsonValue* alu = require(doc, "alu", JsonValue::Kind::kString);
-  const JsonValue* length = require(doc, "length", JsonValue::Kind::kNumber);
-  const JsonValue* seed = require(doc, "seed", JsonValue::Kind::kNumber);
-  const JsonValue* registers =
-      require(doc, "registers", JsonValue::Kind::kNumber);
-  const JsonValue* forwarding = doc.find("forwarding");
-  const JsonValue* fp =
-      require(doc, "fetch_percent", JsonValue::Kind::kNumber);
-  const JsonValue* dp =
-      require(doc, "decode_percent", JsonValue::Kind::kNumber);
-  const JsonValue* ep =
-      require(doc, "execute_percent", JsonValue::Kind::kNumber);
-  const JsonValue* wp =
-      require(doc, "writeback_percent", JsonValue::Kind::kNumber);
-  if (mode == nullptr || alu == nullptr || length == nullptr ||
-      seed == nullptr || registers == nullptr || forwarding == nullptr ||
-      forwarding->kind() != JsonValue::Kind::kBool || fp == nullptr ||
-      dp == nullptr || ep == nullptr || wp == nullptr) {
-    return std::nullopt;
-  }
+  FieldReader r(doc);
   PipelineCase c;
-  c.mode = mode->as_string();
-  c.alu = alu->as_string();
-  c.length = static_cast<std::size_t>(length->as_u64().value_or(1));
-  c.seed = seed->as_u64().value_or(0);
-  c.registers = static_cast<std::size_t>(registers->as_u64().value_or(8));
-  c.forwarding = forwarding->as_bool();
-  c.fetch_percent = fp->as_double().value_or(0.0);
-  c.decode_percent = dp->as_double().value_or(0.0);
-  c.execute_percent = ep->as_double().value_or(0.0);
-  c.writeback_percent = wp->as_double().value_or(0.0);
-  return c;
+  r.text("mode", c.mode, true);
+  r.text("alu", c.alu, true);
+  r.number("length", c.length, true);
+  r.number("seed", c.seed, true);
+  r.number("registers", c.registers, true);
+  r.flag("forwarding", c.forwarding, true);
+  r.number("fetch_percent", c.fetch_percent, true);
+  r.number("decode_percent", c.decode_percent, true);
+  r.number("execute_percent", c.execute_percent, true);
+  r.number("writeback_percent", c.writeback_percent, true);
+  return r.ok() ? std::optional<PipelineCase>(c) : std::nullopt;
 }
 
 /// The generated NBXS program of a pipeline case — a pure function of
@@ -1930,18 +1500,12 @@ std::optional<std::string> run_pipeline_case(const PipelineCase& c) {
 std::vector<PipelineCase> shrink_pipeline_case(const PipelineCase& c) {
   std::vector<PipelineCase> out;
   if (c.length > 1) {
-    PipelineCase s = c;
-    s.length = c.length / 2;
-    out.push_back(std::move(s));
-    PipelineCase one = c;
-    one.length = 1;
-    out.push_back(std::move(one));
+    out.emplace_back(c).length = c.length / 2;
+    out.emplace_back(c).length = 1;
   }
   const auto zero = [&out, &c](double PipelineCase::* field) {
     if (c.*field != 0.0) {
-      PipelineCase s = c;
-      s.*field = 0.0;
-      out.push_back(std::move(s));
+      out.emplace_back(c).*field = 0.0;
     }
   };
   zero(&PipelineCase::fetch_percent);
@@ -1949,96 +1513,46 @@ std::vector<PipelineCase> shrink_pipeline_case(const PipelineCase& c) {
   zero(&PipelineCase::execute_percent);
   zero(&PipelineCase::writeback_percent);
   if (!c.forwarding) {
-    PipelineCase s = c;
-    s.forwarding = true;
-    out.push_back(std::move(s));
+    out.emplace_back(c).forwarding = true;
   }
   if (c.registers != 8) {
-    PipelineCase s = c;
-    s.registers = 8;
-    out.push_back(std::move(s));
+    out.emplace_back(c).registers = 8;
   }
   if (c.alu != "aluns") {
-    PipelineCase s = c;
-    s.alu = "aluns";
-    out.push_back(std::move(s));
+    out.emplace_back(c).alu = "aluns";
   }
   return out;
 }
 
 }  // namespace
 
-Property engine_differential_property() {
-  PropertyDef<EngineCase> def;
-  def.name = kEngineName;
-  def.generate = generate_engine_case;
-  def.run = run_engine_case;
-  def.shrink = shrink_engine_case;
-  def.to_json = engine_case_json;
-  def.from_json = engine_case_from_json;
-  return Property::make(std::move(def));
-}
-
-Property simd_differential_property() {
-  PropertyDef<SimdCase> def;
-  def.name = kSimdName;
-  def.generate = generate_simd_case;
-  def.run = run_simd_case;
-  def.shrink = shrink_simd_case;
-  def.to_json = simd_case_json;
-  def.from_json = simd_case_from_json;
-  return Property::make(std::move(def));
-}
-
-Property scenario_differential_property() {
-  PropertyDef<ScenarioCase> def;
-  def.name = kScenarioName;
-  def.generate = generate_scenario_case;
-  def.run = run_scenario_case;
-  def.shrink = shrink_scenario_case;
-  def.to_json = scenario_case_json;
-  def.from_json = scenario_case_from_json;
-  return Property::make(std::move(def));
+Property backend_differential_property() {
+  return Property::make(PropertyDef<BackendCase>{
+      kBackendName, generate_backend_case, run_backend_case,
+      shrink_backend_case, backend_case_json, backend_case_from_json});
 }
 
 Property alu_vs_cmos_property() {
-  PropertyDef<AluCase> def;
-  def.name = kAluName;
-  def.generate = generate_alu_case;
-  def.run = run_alu_case;
-  def.shrink = shrink_alu_case;
-  def.to_json = alu_case_json;
-  def.from_json = alu_case_from_json;
-  return Property::make(std::move(def));
+  return Property::make(PropertyDef<AluCase>{
+      kAluName, generate_alu_case, run_alu_case, shrink_alu_case,
+      alu_case_json, alu_case_from_json});
 }
 
 Property decode_t_error_property() {
-  PropertyDef<DecodeCase> def;
-  def.name = kDecodeName;
-  def.generate = generate_decode_case;
-  def.run = run_decode_case;
-  def.shrink = shrink_decode_case;
-  def.to_json = decode_case_json;
-  def.from_json = decode_case_from_json;
-  return Property::make(std::move(def));
+  return Property::make(PropertyDef<DecodeCase>{
+      kDecodeName, generate_decode_case, run_decode_case,
+      shrink_decode_case, decode_case_json, decode_case_from_json});
 }
 
 Property pipeline_differential_property() {
-  PropertyDef<PipelineCase> def;
-  def.name = kPipelineName;
-  def.generate = generate_pipeline_case;
-  def.run = run_pipeline_case;
-  def.shrink = shrink_pipeline_case;
-  def.to_json = pipeline_case_json;
-  def.from_json = pipeline_case_from_json;
-  return Property::make(std::move(def));
+  return Property::make(PropertyDef<PipelineCase>{
+      kPipelineName, generate_pipeline_case, run_pipeline_case,
+      shrink_pipeline_case, pipeline_case_json, pipeline_case_from_json});
 }
 
 std::vector<Property> oracle_properties() {
   std::vector<Property> out;
-  out.push_back(engine_differential_property());
-  out.push_back(simd_differential_property());
-  out.push_back(scenario_differential_property());
+  out.push_back(backend_differential_property());
   out.push_back(pipeline_differential_property());
   out.push_back(alu_vs_cmos_property());
   out.push_back(decode_t_error_property());
@@ -2047,6 +1561,9 @@ std::vector<Property> oracle_properties() {
 }
 
 std::optional<Property> oracle_property_by_name(std::string_view name) {
+  if (std::ranges::find(kAbsorbedNames, name) != kAbsorbedNames.end()) {
+    name = kBackendName;
+  }
   for (Property& p : oracle_properties()) {
     if (p.name() == name) {
       return std::move(p);
@@ -2056,28 +1573,11 @@ std::optional<Property> oracle_property_by_name(std::string_view name) {
 }
 
 std::size_t default_smoke_cases(std::string_view property_name) {
-  if (property_name == kEngineName) {
-    return 24;
-  }
-  if (property_name == kSimdName) {
-    return 16;
-  }
-  if (property_name == kScenarioName) {
-    return 12;
-  }
-  if (property_name == kPipelineName) {
-    return 16;
-  }
-  if (property_name == kAluName) {
-    return 80;
-  }
-  if (property_name == kDecodeName) {
-    return 120;
-  }
-  if (property_name == "serve-differential") {
-    return 12;
-  }
-  return 50;
+  static const std::map<std::string_view, std::size_t> kDepths = {
+      {kBackendName, 32}, {kPipelineName, 16}, {kAluName, 80},
+      {kDecodeName, 120}, {"serve-differential", 12}};
+  const auto it = kDepths.find(property_name);
+  return it != kDepths.end() ? it->second : 50;
 }
 
 }  // namespace nbx::check

@@ -2,35 +2,29 @@
 //
 // The paper's argument is statistical, so the statistics machinery gets
 // the strongest oracle treatment we can afford: rather than pinning a
-// handful of hand-picked goldens, seven families of *generated* cases
+// handful of hand-picked goldens, five families of *generated* cases
 // cross-examine independent implementations of the same contract:
 //
-//   engine-differential — a generated SweepSpec (ALU, percents, trials,
-//       seed, fault policy, scope, burst) must produce bit-identical
-//       DataPoints through every execution path of the TrialEngine:
-//       scalar serial, batched lanes (1..512, single- and multi-word),
-//       thread pool, and the anatomy variants (whose counters must also
-//       agree scalar-vs-batched).
-//
-//   simd-differential — a generated SweepSpec run through the wide lane
-//       engine at a generated lane count (1..512) under EVERY
-//       compiled-in + CPU-supported SIMD dispatch tier, forced one at a
-//       time via simd::ScopedTierOverride: each tier's DataPoints and
-//       anatomy counters must be bit-identical to the scalar trial
-//       engine's (hence every tier pairwise identical too).
-//
-//   scenario-differential — a generated FaultScenario (wear-out rate
-//       schedule: constant/linear/weibull toward base*end_factor, plus
-//       2-D burst geometry) must be bit-identical through scalar serial,
-//       scalar threaded, every forced SIMD tier at a generated lane
-//       count, and the threaded wide engine — scenario counters
-//       included; an i.i.d.-degenerate schedule must reproduce the
-//       default-scenario sweep bitwise. The same case also checks the
+//   backend-differential — a generated experiment (ALU, percents,
+//       trials, seed, fault policy, scope, wear-out schedule toward
+//       base*end_factor, 2-D burst geometry) in a generated execution
+//       shape (1..512 lanes, 2..8 threads), checked against ONE
+//       scalar-serial anatomy baseline, each contract once: the thread
+//       count changes neither points nor counters on the scalar or the
+//       wide engine; every compiled-in + CPU-supported SIMD tier, forced
+//       one at a time via simd::ScopedTierOverride, reproduces the
+//       baseline's points and anatomy counters (hence the tiers are
+//       pairwise identical); accounting is passive — a plain sweep gives
+//       the same points on either engine; a non-default but
+//       i.i.d.-degenerate scenario reproduces the default-scenario sweep
+//       bitwise; and a case with a schedule or a burst obeys the
 //       generator laws directly: schedule anchored at the base rate,
 //       monotone to clamp(base*end_factor), in [0, 100]; burst flips
 //       inside their declared L×R neighbourhood (anchors replayed from a
 //       twin Rng); remap plans injective and never reading a
-//       known-defective site when feasible.
+//       known-defective site when feasible. The names of the three
+//       families it absorbed (engine-, simd- and scenario-differential)
+//       still resolve here, so their repro files replay.
 //
 //   pipeline-differential — a generated NBXS program through the
 //       pipelined cell. Mode "program": under zero faults the 4-deep
@@ -78,9 +72,7 @@
 
 namespace nbx::check {
 
-Property engine_differential_property();
-Property simd_differential_property();
-Property scenario_differential_property();
+Property backend_differential_property();
 Property pipeline_differential_property();
 Property alu_vs_cmos_property();
 Property decode_t_error_property();
@@ -89,12 +81,13 @@ Property serve_differential_property();
 /// The oracle families, in reporting order.
 std::vector<Property> oracle_properties();
 
-/// Looks up one family by its name (replay dispatch).
+/// Looks up one family by its name (replay dispatch). The names of the
+/// families backend-differential absorbed resolve to it.
 std::optional<Property> oracle_property_by_name(std::string_view name);
 
 /// Per-family case count for the bounded check_smoke run. The totals
-/// across oracle_properties() exceed 200 cases while staying well under
-/// the 5-second smoke budget.
+/// across oracle_properties() exceed 200 cases, and the whole run fits
+/// the 5-second smoke budget (no backend-differential case above 1 s).
 std::size_t default_smoke_cases(std::string_view property_name);
 
 }  // namespace nbx::check

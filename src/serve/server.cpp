@@ -15,17 +15,27 @@ namespace nbx::serve {
 
 namespace {
 
+constexpr int kPollMs = 100;
+
+// How long a stalled peer may hold a partial frame once stop is raised:
+// consecutive poll timeouts with no byte arriving in between.
+constexpr int kStopGraceMs = 1000;
+
 // Reads exactly n bytes. Returns 1 on success, 0 on clean EOF before
-// the first byte, -1 on error/EOF mid-buffer or when `stop` is raised
-// while still waiting for the first byte (idle connection draining).
+// the first byte, -1 on error/EOF mid-buffer, when `stop` is raised
+// while still waiting for the first byte (idle connection draining), or
+// when `stop` is raised and a partial frame makes no progress for
+// kStopGraceMs (a stalled peer).
 int read_exact(int fd, char* buf, std::size_t n,
                const std::atomic<bool>& stop) {
   std::size_t got = 0;
+  std::size_t got_at_last_timeout = 0;
+  int stalled_ms = 0;
   while (got < n) {
     pollfd p{};
     p.fd = fd;
     p.events = POLLIN;
-    const int pr = poll(&p, 1, 100);
+    const int pr = poll(&p, 1, kPollMs);
     if (pr < 0) {
       if (errno == EINTR) {
         continue;
@@ -34,11 +44,19 @@ int read_exact(int fd, char* buf, std::size_t n,
     }
     if (pr == 0) {
       // Timeout: between frames, a raised stop flag ends the
-      // connection; mid-frame we keep waiting so an in-flight request
-      // always completes (clean drain).
-      if (got == 0 && stop.load(std::memory_order_relaxed)) {
-        return -1;
+      // connection; mid-frame we keep waiting while bytes still arrive,
+      // so an in-flight request always completes (clean drain), but a
+      // peer that stalls for the grace period cannot hold stop() open.
+      if (stop.load(std::memory_order_relaxed)) {
+        if (got == 0) {
+          return -1;
+        }
+        stalled_ms = got == got_at_last_timeout ? stalled_ms + kPollMs : 0;
+        if (stalled_ms >= kStopGraceMs) {
+          return -1;
+        }
       }
+      got_at_last_timeout = got;
       continue;
     }
     const ssize_t r = read(fd, buf + got, n - got);

@@ -25,7 +25,7 @@
 //     per-lane draws, for a block of lanes at once;
 //   * one lane group end to end (run_group_impl).
 // Every tier at every W must be bit-identical to the scalar trial engine,
-// including anatomy counters (nbxcheck simd-differential,
+// including anatomy counters (nbxcheck backend-differential,
 // tests/sim/simd_tier_test.cpp).
 //
 // NOTE this header has no include guard on purpose: it is included once

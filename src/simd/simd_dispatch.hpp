@@ -18,7 +18,7 @@
 //
 // Every tier is bit-identical by construction — same algorithms, same
 // word semantics, different register widths — which the nbxcheck
-// simd-differential family and the forced-tier goldens enforce
+// backend-differential family and the forced-tier goldens enforce
 // (docs/TESTING.md).
 #pragma once
 
@@ -62,7 +62,7 @@ SimdTier active_tier();
 /// Installs (or with nullopt clears) a process-wide tier override.
 /// Takes precedence over NBX_SIMD_TIER. Not thread-safe against
 /// concurrent active_tier() readers: flip it only between engine runs
-/// (the forced-tier tests and the nbxcheck simd-differential family do
+/// (the forced-tier tests and the nbxcheck backend-differential family do
 /// exactly that).
 void set_tier_override(std::optional<SimdTier> tier);
 

@@ -9,7 +9,7 @@
 // the per-tier templated code in lane_engine_inl.hpp. Building the mirror
 // is per-engine-run (cheap, read-only, shared across worker threads), so
 // tiers cannot disagree about structure, only about register width — and
-// the width is verified bit-identical by the nbxcheck simd-differential
+// the width is verified bit-identical by the nbxcheck backend-differential
 // family.
 #pragma once
 

@@ -1,8 +1,9 @@
-// oracles_test.cpp — gtest wrapper around the differential-oracle
-// families. This is what check_smoke runs in tier 1: a bounded number of
-// generated cases per family (well over 200 in total), exactly the
-// default depth of the nbxcheck CLI, plus replay-dispatch and
-// serialization round-trip checks on each family.
+// oracles_test.cpp — the differential-oracle registry and replay
+// contracts: family names, smoke depth, deterministic case seeds, and
+// hand-written cases through each family's decoder. The generated smoke
+// cases of the engine-facing families run once per tier-1 pass, in the
+// check_smoke ctest entry (the nbxcheck CLI); the cheap cell, ALU and
+// decoder families also run here.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -27,18 +28,6 @@ void run_family_clean(const Property& p) {
       << "\n  To debug: nbxcheck --property " << p.name() << " --seed "
       << cfg.seed;
   EXPECT_EQ(stats.cases, cfg.cases);
-}
-
-TEST(OracleSmoke, EngineDifferentialHolds) {
-  run_family_clean(engine_differential_property());
-}
-
-TEST(OracleSmoke, SimdDifferentialHolds) {
-  run_family_clean(simd_differential_property());
-}
-
-TEST(OracleSmoke, ScenarioDifferentialHolds) {
-  run_family_clean(scenario_differential_property());
 }
 
 TEST(OracleSmoke, PipelineDifferentialHolds) {
@@ -67,13 +56,22 @@ TEST(OracleRegistry, NamesResolveAndAreUnique) {
     names.push_back(p.name());
     EXPECT_TRUE(oracle_property_by_name(p.name()).has_value()) << p.name();
   }
-  EXPECT_EQ(names.size(), 7u);
+  EXPECT_EQ(names.size(), 5u);
   for (std::size_t i = 0; i < names.size(); ++i) {
     for (std::size_t j = i + 1; j < names.size(); ++j) {
       EXPECT_NE(names[i], names[j]);
     }
   }
   EXPECT_FALSE(oracle_property_by_name("no-such-family").has_value());
+
+  // The families backend-differential absorbed resolve to it, so their
+  // repro files replay.
+  for (const char* absorbed : {"engine-differential", "simd-differential",
+                               "scenario-differential"}) {
+    const std::optional<Property> p = oracle_property_by_name(absorbed);
+    ASSERT_TRUE(p.has_value()) << absorbed;
+    EXPECT_EQ(p->name(), "backend-differential") << absorbed;
+  }
 }
 
 TEST(OracleReplay, KnownGoodCasesReplayAsPasses) {
@@ -99,11 +97,31 @@ TEST(OracleReplay, KnownGoodCasesReplayAsPasses) {
       {"alu-vs-cmos",
        R"({"family": "alu-vs-cmos", "alu": "aluss",)"
        R"( "instrs": [["ADD", 200, 100], ["XOR", 15, 240]]})"},
+      {"backend-differential",
+       R"({"family": "backend-differential", "alu": "alutn",)"
+       R"( "percents": [0.5, 5], "trials": 6, "seed": 5, "policy": "burst",)"
+       R"( "burst_length": 2, "burst_rows": 2, "burst_row_stride": 8,)"
+       R"( "scope": "datapath", "datapath_sites": 900,)"
+       R"( "schedule": "weibull", "end_factor": 5000, "shape": 2,)"
+       R"( "lanes": 96, "threads": 3})"},
+      // Cases of the three families backend-differential absorbed, with
+      // their own field sets: each loads into it and passes.
       {"engine-differential",
        R"({"family": "engine-differential", "alu": "alunn",)"
        R"( "percents": [2], "trials": 1, "seed": 7, "policy": "round",)"
        R"( "burst_length": 1, "scope": "all", "datapath_sites": 0,)"
        R"( "lanes": 3, "threads": 2})"},
+      {"simd-differential",
+       R"({"family": "simd-differential", "alu": "aluss",)"
+       R"( "percents": [1, 3], "trials": 66, "seed": 9, "policy": "floor",)"
+       R"( "burst_length": 1, "scope": "datapath", "datapath_sites": 2000,)"
+       R"( "lanes": 130})"},
+      {"scenario-differential",
+       R"({"family": "scenario-differential", "alu": "alutsi",)"
+       R"( "percents": [2], "trials": 6, "seed": 13, "policy": "burst",)"
+       R"( "burst_length": 3, "burst_rows": 2, "burst_row_stride": 16,)"
+       R"( "schedule": "linear", "end_factor": 6, "shape": 1,)"
+       R"( "lanes": 200, "threads": 4})"},
       {"pipeline-differential",
        R"({"family": "pipeline-differential", "mode": "program",)"
        R"( "alu": "aluns", "length": 12, "seed": 11, "registers": 4,)"
@@ -145,6 +163,37 @@ TEST(OracleReplay, InvalidAndMisroutedCasesAreHandled) {
   ASSERT_TRUE(outcome.loaded);
   ASSERT_TRUE(outcome.failure.has_value());
   EXPECT_NE(outcome.failure->find("invalid case"), std::string::npos);
+
+  // backend-differential defaults the fields an absorbed family's schema
+  // lacked, but a present field of the wrong kind, or a missing field
+  // every schema carried, still does not decode.
+  std::optional<Property> backend =
+      oracle_property_by_name("backend-differential");
+  ASSERT_TRUE(backend.has_value());
+  for (const char* doc : {
+           R"({"family": "simd-differential", "alu": "aluss",)"
+           R"( "percents": [1], "trials": "66", "seed": 9,)"
+           R"( "policy": "floor", "burst_length": 1, "lanes": 130})",
+           R"({"family": "engine-differential", "alu": "alunn",)"
+           R"( "percents": [2], "trials": 1, "seed": 7, "policy": "round",)"
+           R"( "burst_length": 1, "lanes": 3, "threads": [2]})",
+           R"({"family": "scenario-differential", "alu": "alunn",)"
+           R"( "percents": [2], "trials": 1, "seed": 7, "policy": "round",)"
+           R"( "burst_length": 1, "lanes": 3, "end_factor": "6"})",
+           R"({"family": "backend-differential", "alu": "alunn",)"
+           R"( "percents": ["2"], "trials": 1, "seed": 7,)"
+           R"( "policy": "round", "burst_length": 1, "lanes": 3})",
+           R"({"family": "backend-differential", "alu": "alunn",)"
+           R"( "percents": [2], "trials": 1, "seed": 7,)"
+           R"( "policy": "round", "burst_length": 1})",
+       }) {
+    const auto parsed = JsonValue::parse(doc);
+    ASSERT_TRUE(parsed.has_value()) << doc;
+    const ReplayOutcome wrong = backend->replay(*parsed);
+    EXPECT_FALSE(wrong.loaded) << doc;
+    EXPECT_NE(wrong.load_error.find("does not decode"), std::string::npos)
+        << doc;
+  }
 }
 
 TEST(OracleReplay, RsFlipsSpanningSymbolsAreInvalid) {

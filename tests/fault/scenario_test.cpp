@@ -1,7 +1,7 @@
 // scenario_test.cpp — the FaultScenario generator layer in isolation:
 // wear-out rate schedules, 2-D burst strike geometry, and defect-aware
 // remap plans. The cross-engine bit-identity of scenarios is enforced by
-// the scenario-differential nbxcheck family and the scenario golden
+// the backend-differential nbxcheck family and the scenario golden
 // tests; this file pins the layer's local laws with hand-readable cases.
 #include <gtest/gtest.h>
 

@@ -15,13 +15,20 @@
 //     daemon never dies;
 //   * stop() drains: every request accepted before shutdown receives its
 //     complete response, and the socket path is unlinked for the next
-//     bind (the soak script's restart-under-load loop leans on this).
+//     bind (the soak script's restart-under-load loop leans on this);
+//     a peer stalled mid-frame holds stop() for a bounded grace period,
+//     not until it disconnects.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,7 +89,9 @@ TEST(ServeSmoke, ConcurrentClientsAreByteIdenticalAndComputeOnce) {
         render_sweep_request(small_request(9000 + i)));
   }
   std::vector<std::string> responses(kClients);
-  std::vector<bool> transported(kClients, false);
+  // char, not bool: vector<bool> packs the flags into shared words, and
+  // eight client threads writing neighbouring bits is a data race.
+  std::vector<char> transported(kClients, 0);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
@@ -406,6 +415,49 @@ TEST(ServeLifetime, FinishedConnectionsReleaseTheirThreads) {
       << before << " to " << after
       << " — finished connection threads are not being joined";
   server.stop();
+}
+
+TEST(ServeLifetime, StopGivesUpOnAPeerStalledMidFrame) {
+  // A peer that sends half a frame header and then neither sends more
+  // nor closes must not hold stop() open: once stop is raised, a
+  // partial frame that makes no progress for the server's grace period
+  // (one second) is abandoned.
+  ServerConfig cfg;
+  cfg.socket_path = temp_socket_path("stall");
+  Server server(cfg);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, cfg.socket_path.c_str(),
+              cfg.socket_path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const char half_header[kFrameHeaderBytes / 2] = {0x10, 0x00};
+  ASSERT_EQ(::send(fd, half_header, sizeof(half_header), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(half_header)));
+  // Let the connection thread take the two bytes before stop is raised.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  // Grace period plus a margin. Past the deadline, closing the socket
+  // releases a server that would wait for the peer, so a failing run
+  // still ends.
+  const bool in_time =
+      done.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  ::close(fd);
+  stopper.join();
+  EXPECT_TRUE(in_time) << "stop() waited for a peer stalled mid-frame";
+  EXPECT_FALSE(server.running());
 }
 
 }  // namespace

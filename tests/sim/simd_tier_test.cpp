@@ -21,7 +21,9 @@
 //   * the structural mirror evaluates every catalogued ALU word-parallel
 //     except the gate-level TMR read path, which falls back to per-lane
 //     scalar compute (a silent fallback would pass every bit-identity
-//     test and show only as a slowdown).
+//     test and show only as a slowdown);
+//   * that per-lane bridge is bit-identical to the scalar engine in a
+//     group that spills past the first 64-lane word, on every tier.
 //
 // Tiers the binary or the CPU cannot run are GTEST_SKIPped (visible in
 // the log), never silently passed: a green run on an AVX-512 machine
@@ -117,6 +119,26 @@ TEST(SimdTier, Avx512TierReproducesSeedGolden) {
   run_forced_tier_golden(simd::SimdTier::kAvx512);
 }
 
+// Point-for-point and counter-for-counter equality with the scalar
+// trial engine's sweep.
+void expect_same_anatomy(const SweepAnatomy& base, const SweepAnatomy& wide,
+                         const SweepSpec& spec, const std::string& where) {
+  ASSERT_EQ(wide.points.size(), base.points.size()) << where;
+  for (std::size_t i = 0; i < base.points.size(); ++i) {
+    EXPECT_EQ(wide.points[i].mean_percent_correct,
+              base.points[i].mean_percent_correct)
+        << where << " percent=" << spec.percents[i];
+    EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << where;
+    EXPECT_EQ(wide.points[i].ci95, base.points[i].ci95) << where;
+    EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << where;
+  }
+  ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << where;
+  for (std::size_t i = 0; i < base.metrics.size(); ++i) {
+    EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
+        << where << " percent=" << spec.percents[i] << ": anatomy diverged";
+  }
+}
+
 // Every catalogued ALU — every bit-level decode path and both module
 // organisations — run through the wide engine under a forced tier must
 // match the scalar trial engine point-for-point and counter-for-counter.
@@ -148,25 +170,9 @@ void run_decode_coverage(simd::SimdTier tier) {
       wide_cfg.batch_lanes = lanes;
       const SweepAnatomy wide =
           TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec);
-      const std::string where = s.name + " lanes=" + std::to_string(lanes) +
-                                " tier=" +
-                                std::string(simd::tier_name(tier));
-
-      ASSERT_EQ(wide.points.size(), base.points.size()) << where;
-      for (std::size_t i = 0; i < base.points.size(); ++i) {
-        EXPECT_EQ(wide.points[i].mean_percent_correct,
-                  base.points[i].mean_percent_correct)
-            << where << " percent=" << spec.percents[i];
-        EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << where;
-        EXPECT_EQ(wide.points[i].ci95, base.points[i].ci95) << where;
-        EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << where;
-      }
-      ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << where;
-      for (std::size_t i = 0; i < base.metrics.size(); ++i) {
-        EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
-            << where << " percent=" << spec.percents[i]
-            << ": anatomy diverged";
-      }
+      expect_same_anatomy(base, wide, spec,
+                          s.name + " lanes=" + std::to_string(lanes) +
+                              " tier=" + std::string(simd::tier_name(tier)));
     }
   }
 }
@@ -228,6 +234,38 @@ TEST(WideMirror, GateLevelLutReadPathFallsBackToScalarLanes) {
     EXPECT_EQ(mirror->voter(), nullptr) << s.name;
   }
   EXPECT_GT(hw, 0u) << "no hw variant catalogued (alunhw, ...)";
+}
+
+TEST(SimdTier, FallbackMirrorLanesSpanTwoLaneWords) {
+  // 65 trials in a 96-lane row: each workload's group puts its last
+  // trial in lane 64, the first lane of the second word, so the per-lane
+  // scalar bridge must read and score across the word boundary. The
+  // generated backend-differential cases keep the hw ALUs inside one
+  // word (milliseconds per lane), so this is their multi-word coverage.
+  const auto alu = make_alu("alunhw");
+  ASSERT_NE(alu, nullptr);
+  ASSERT_TRUE(simd::WideMirror::create(*alu)->is_fallback());
+  SweepSpec spec;
+  spec.percents = {1.0};
+  spec.trials_per_workload = 65;
+  spec.seed = 20261017;
+  const auto streams = paper_streams(spec.seed);
+  const SweepAnatomy base =
+      TrialEngine(ParallelConfig{}).sweep_anatomy(*alu, streams, spec);
+
+  ParallelConfig wide_cfg;
+  wide_cfg.batch_lanes = 96;
+  for (const simd::SimdTier tier :
+       {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
+        simd::SimdTier::kAvx512}) {
+    if (!simd::tier_supported(tier)) {
+      continue;
+    }
+    const simd::ScopedTierOverride forced(tier);
+    expect_same_anatomy(
+        base, TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec), spec,
+        "alunhw lanes=96 tier=" + std::string(simd::tier_name(tier)));
+  }
 }
 
 TEST(SimdTier, UnsupportedEnvRequestClampsDownNeverUp) {
