@@ -13,10 +13,13 @@
 //
 // What the kernels compute, each lane-sliced over 64*W trial lanes:
 //   * LUT reads (lut_read) — a Shannon mux tree over the fault-XORed
-//     stored words; TMR majority-votes three trees; Hamming and Hsiao
-//     decode the mask's syndrome as lane-parallel predicates; Reed-Solomon
-//     locates and repairs a symbol in bit-sliced GF(16) arithmetic. Every
-//     coding has this one read path, for every lane;
+//     stored words, built only over the address bits that differ between
+//     lanes (MuxSel): operands and opcode are broadcast, so most reads
+//     are one leaf load. TMR majority-votes three trees; Hamming and
+//     Hsiao decode the mask's syndrome as lane-parallel predicates;
+//     Reed-Solomon locates and repairs a symbol in bit-sliced GF(16)
+//     arithmetic, only for the symbols the tree reads. Every coding has
+//     this one read path, for every lane;
 //   * gate netlists (eval_netlist) — parallel-pattern simulation of the
 //     CMOS cores and voter;
 //   * modules (WideModuleExec) — the shared compute_single/space/time
@@ -159,25 +162,72 @@ inline LaneVec<W> active_mask(unsigned lanes) {
 // Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves. For k <= 6 data
 // widths the Hamming code needs r <= 7 check bits, so 128 covers both,
 // and Hsiao up to k = 5 (r = 6 at the mirrored blocks' k = 4).
-constexpr std::size_t kMuxLeavesMax = 128;
+constexpr std::size_t kMuxLevelsMax = 7;
+constexpr std::size_t kMuxLeavesMax = std::size_t{1} << kMuxLevelsMax;
 
-/// Shannon mux tree over wide lane vectors; `leaf(i)` supplies leaf i on
-/// demand so callers fuse the fault XOR into the load.
+/// A mux tree's k selector rows, classified once across every lane word.
+/// An all-zero or all-one row picks the same side in every lane, so it
+/// folds into the fixed leaf-index bits `base`; only the `mixed` levels
+/// (a leaf-index bit mask) are left for the tree. Every tree a read
+/// builds over one address shares one classification. The operands and
+/// opcode are broadcast, so a row mixes only once a faulted read has made
+/// lanes disagree (a carry, a slice's logic/sum output, a copy's result
+/// bit, a syndrome bit).
+template <std::size_t W>
+struct MuxSel {
+  const LaneVec<W>* sel;
+  std::size_t base = 0;
+  std::size_t mixed = 0;
+
+  MuxSel(std::size_t k, const LaneVec<W>* rows) : sel(rows) {
+    assert(k <= kMuxLevelsMax);
+    for (std::size_t l = 0; l < k; ++l) {
+      std::uint64_t any = 0;
+      std::uint64_t all = ~std::uint64_t{0};
+      for (std::size_t i = 0; i < W; ++i) {
+        any |= rows[l].w[i];
+        all &= rows[l].w[i];
+      }
+      if (all == ~std::uint64_t{0}) {
+        base |= std::size_t{1} << l;
+      } else if (any != 0) {
+        mixed |= std::size_t{1} << l;
+      }
+    }
+  }
+};
+
+/// Shannon mux tree over the mixed levels of `ms`: 2^m leaves for m
+/// mixed levels, a single leaf when none mixes. `leaf(i)` supplies leaf i
+/// on demand so callers fuse the fault XOR into the load. Bit-identical
+/// per lane to the full 2^k tree: each lane still gets exactly the leaf
+/// its address names.
 template <std::size_t W, class Leaf>
-LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
-  if (k == 0) {
-    return leaf(std::size_t{0});
+LaneVec<W> lane_mux(const MuxSel<W>& ms, Leaf&& leaf) {
+  if (ms.mixed == 0) {
+    return leaf(ms.base);
   }
-  assert((std::size_t{1} << k) <= kMuxLeavesMax);
   LaneVec<W> buf[kMuxLeavesMax / 2];
-  std::size_t half = std::size_t{1} << (k - 1);
+  // (sub - mixed) & mixed steps through the subsets of `mixed` in
+  // increasing order, i.e. the tree's leaves left to right.
+  std::size_t sub = 0;
+  const auto next_leaf = [&] {
+    const std::size_t s = ms.base | sub;
+    sub = (sub - ms.mixed) & ms.mixed;
+    return leaf(s);
+  };
+  std::size_t levels = ms.mixed;
+  std::size_t half = std::size_t{1} << (std::popcount(levels) - 1);
+  const LaneVec<W>& sel0 = ms.sel[std::countr_zero(levels)];
   for (std::size_t i = 0; i < half; ++i) {
-    buf[i] = blend(leaf(2 * i), leaf(2 * i + 1), sel[0]);
+    const LaneVec<W> lo = next_leaf();
+    buf[i] = blend(lo, next_leaf(), sel0);
   }
-  for (std::size_t level = 1; level < k; ++level) {
+  for (levels &= levels - 1; levels != 0; levels &= levels - 1) {
     half >>= 1;
+    const LaneVec<W>& sel = ms.sel[std::countr_zero(levels)];
     for (std::size_t i = 0; i < half; ++i) {
-      buf[i] = blend(buf[2 * i], buf[2 * i + 1], sel[level]);
+      buf[i] = blend(buf[2 * i], buf[2 * i + 1], sel);
     }
   }
   return buf[0];
@@ -186,10 +236,12 @@ LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
 // ------------------------------------------------------------- LUT reads
 //
 // Each reader returns every lane's addressed bit as the faulted LUT
-// delivers it, bit-identical per lane to CodedLut::read. `mask` is always
-// a real (possibly all-zero) mask: the group kernel owns one. `stats` is
-// null unless an anatomy sink is attached; it then carries the sink
-// (stats->obs) for the decode counters.
+// delivers it, bit-identical per lane to CodedLut::read. `addr` is the
+// read's address, classified once by lut_read; `mask` is always a real
+// (possibly all-zero) mask: the group kernel owns one. `stats` is null
+// unless an anatomy sink is attached; it then carries the sink
+// (stats->obs) for the decode counters. With the sink off, a reader
+// computes only what the addressed bit needs.
 
 /// The decode-outcome counters a read tallies into, or null.
 inline obs::CodeLayerCounters* code_sink(const LutAccessStats* stats,
@@ -198,7 +250,7 @@ inline obs::CodeLayerCounters* code_sink(const LutAccessStats* stats,
 }
 
 template <std::size_t W>
-LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_tmr(const WideLut& t, const MuxSel<W>& addr,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
@@ -206,7 +258,7 @@ LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
   V copies[3];
   for (std::size_t c = 0; c < 3; ++c) {
     const std::uint32_t* site = t.code->tmr_sites.data() + c * n;
-    copies[c] = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+    copies[c] = lane_mux<W>(addr, [&](std::size_t s) {
       return V::splat(t.golden[s]) ^ V::load(mask.row(offset + site[s]));
     });
   }
@@ -214,7 +266,7 @@ LaneVec<W> read_tmr(const WideLut& t, const LaneVec<W>* addr_bits,
                   (copies[0] & copies[2]);
   if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
     // Compare the copies and the vote against the golden addressed bit.
-    const V g = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+    const V g = lane_mux<W>(addr, [&](std::size_t s) {
       return V::splat(t.golden[s]);
     });
     const V err = (copies[0] ^ g) | (copies[1] ^ g) | (copies[2] ^ g);
@@ -250,14 +302,14 @@ LaneVec<W> lane_syndrome(const WideCode& code, const BatchBitVec& mask,
 /// syndrome names at most one H column, and the decoder flips the data
 /// bit it names.
 template <std::size_t W>
-LaneVec<W> read_sec(const WideLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_sec(const WideLut& t, const MuxSel<W>& addr,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
   const WideCode& code = *t.code;
   const std::size_t r = code.syndrome_sites.size();
   // The addressed data bit as the faulted string stores it.
-  const V faulted = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+  const V faulted = lane_mux<W>(addr, [&](std::size_t s) {
     return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
   });
   V syn[8];
@@ -270,18 +322,25 @@ LaneVec<W> read_sec(const WideLut& t, const LaneVec<W>* addr_bits,
   V eq = V::ones();
   V fp = V::zero();
   for (std::size_t j = 0; j < r; ++j) {
-    const V col_j = lane_mux<W>(t.inputs, addr_bits, [&](std::size_t a) {
+    const V col_j = lane_mux<W>(addr, [&](std::size_t a) {
       return V::splat(code.column_leaves[j][a]);
     });
     eq &= ~(syn[j] ^ col_j);
     fp |= syn[j] & col_j;
   }
+  obs::CodeLayerCounters* oc = code_sink(stats, t.coding);
+  if (oc == nullptr && t.coding != LutCoding::kHamming) {
+    // Hsiao and ideal Hamming touch only the bit the syndrome names;
+    // whether the decoder calls the syndrome a repair is for the
+    // counters alone.
+    return faulted ^ eq;
+  }
   // Does each lane's decoder call its syndrome a repair? The syndrome
   // words drive a mux over the 2^r constant leaves.
-  const V repair = lane_mux<W>(r, syn, [&](std::size_t s) {
+  const V repair = lane_mux<W>(MuxSel<W>(r, syn), [&](std::size_t s) {
     return V::splat(code.repair_leaves[s]);
   });
-  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+  if (oc != nullptr) {
     // Word-parallel flip census over the stored segment: `once` marks
     // lanes with >= 1 flip, `twice` lanes with >= 2.
     V once = V::zero();
@@ -338,8 +397,7 @@ constexpr std::size_t kRsDataBitsMax = 4 * 13;
 /// and S1 != 0, and adds the magnitude S1 * alpha^-j to that symbol.
 /// Kept out of line so the TMR and Hamming readers inline as before.
 template <std::size_t W>
-[[gnu::noinline]] LaneVec<W> read_rs(const WideLut& t,
-                                     const LaneVec<W>* addr_bits,
+[[gnu::noinline]] LaneVec<W> read_rs(const WideLut& t, const MuxSel<W>& addr,
                                      const BatchBitVec& mask,
                                      std::size_t offset,
                                      const LaneVec<W>& active,
@@ -351,19 +409,16 @@ template <std::size_t W>
   V syn[8];  // S1 bits 0-3, then S2 bits 0-3
   const V any = lane_syndrome<W>(code, mask, offset, syn);
   const V s1_nonzero = syn[0] | syn[1] | syn[2] | syn[3];
-  obs::CodeLayerCounters* oc = code_sink(stats, t.coding);
   // fix[p]: the repair's flip of data site p (symbol 2 + p / 4, bit
-  // p % 4). Parity symbols 0 and 1 never touch data; only the counters
-  // need to know when the decoder locates an error there.
+  // p % 4), filled by locate(2 + p / 4). Parity symbols 0 and 1 never
+  // touch data; only the counters need to know when the decoder locates
+  // an error there. locate(j) returns the lanes that locate it at j.
   V fix[kRsDataBitsMax];
-  V located = V::zero();
-  for (std::size_t j = oc != nullptr ? 0 : 2; j < code.rs_locate.size();
-       ++j) {
+  const auto locate = [&](std::size_t j) {
     V loc[4];
     gf_mul_const<W>(code.rs_locate[j], syn, loc);
     const V at = s1_nonzero & ~((loc[0] ^ syn[4]) | (loc[1] ^ syn[5]) |
                                 (loc[2] ^ syn[6]) | (loc[3] ^ syn[7]));
-    located |= at;
     if (j >= 2) {
       V e[4];
       gf_mul_const<W>(code.rs_magnitude[j], syn, e);
@@ -371,8 +426,16 @@ template <std::size_t W>
         fix[(j - 2) * 4 + b] = at & e[b];
       }
     }
-  }
-  if (oc != nullptr) {
+    return at;
+  };
+  // Bit i: data symbol 2 + i has its fix[] filled.
+  std::uint32_t ready = 0;
+  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+    V located = V::zero();
+    for (std::size_t j = 0; j < code.rs_locate.size(); ++j) {
+      located |= locate(j);
+    }
+    ready = ~std::uint32_t{0};
     // "Genuine" is judged by outcome, as in CodedLut::read_rs: does the
     // repair leave every data site golden?
     V once = V::zero();
@@ -391,7 +454,14 @@ template <std::size_t W>
     oc->miscorrected += popcnt(located & bad, active);
     oc->detected_uncorrectable += popcnt(any & ~located, active);
   }
-  return lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+  // Sink off: a data symbol is located the first time the tree asks for
+  // one of its leaves, so an unmixed address decodes one symbol.
+  return lane_mux<W>(addr, [&](std::size_t s) {
+    const std::size_t symbol = s / 4;
+    if (((ready >> symbol) & 1u) == 0) {
+      locate(2 + symbol);
+      ready |= std::uint32_t{1} << symbol;
+    }
     return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s)) ^ fix[s];
   });
 }
@@ -402,20 +472,21 @@ LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
                     const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
   assert(offset + t.sites <= mask.sites());
+  const MuxSel<W> addr(t.inputs, addr_bits);
   switch (t.coding) {
     case LutCoding::kNone:
-      return lane_mux<W>(t.inputs, addr_bits, [&](std::size_t s) {
+      return lane_mux<W>(addr, [&](std::size_t s) {
         return V::splat(t.golden[s]) ^ V::load(mask.row(offset + s));
       });
     case LutCoding::kTmr:
     case LutCoding::kTmrInterleaved:
-      return read_tmr<W>(t, addr_bits, mask, offset, active, stats);
+      return read_tmr<W>(t, addr, mask, offset, active, stats);
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
     case LutCoding::kHsiao:
-      return read_sec<W>(t, addr_bits, mask, offset, active, stats);
+      return read_sec<W>(t, addr, mask, offset, active, stats);
     case LutCoding::kReedSolomon:
-      return read_rs<W>(t, addr_bits, mask, offset, active, stats);
+      return read_rs<W>(t, addr, mask, offset, active, stats);
   }
   return V::zero();
 }
@@ -934,11 +1005,18 @@ void run_group_impl(const WideGroupJob& job) {
     }
     if (oc != nullptr) {
       oc->injection.masks_generated += in_group;
-      std::uint64_t flipped = 0;
-      for (std::size_t s = 0; s < job.inject_sites; ++s) {
-        flipped += popcnt(V::load(mask.row(s)), active);
+      if (lockstep) {
+        // Floyd's sampling sets exactly k distinct sites per lane: the
+        // scalar engine's shortcut, without popcounting the mask.
+        oc->injection.faults_injected +=
+            job.gen->faults_per_computation() * in_group;
+      } else {
+        std::uint64_t flipped = 0;
+        for (std::size_t s = 0; s < job.inject_sites; ++s) {
+          flipped += popcnt(V::load(mask.row(s)), active);
+        }
+        oc->injection.faults_injected += flipped;
       }
-      oc->injection.faults_injected += flipped;
     }
     if (mir.is_fallback()) {
       compute_lanes_scalar<W>(mir.scalar_alu(), ins.op, ins.a, ins.b, mask,

@@ -18,6 +18,9 @@
 //     scalar trial engine under every tier, at one full lane word (64)
 //     and a ragged two-word group (96), at 2% and at a dense 25% whose
 //     masks put several flips into most LUT segments;
+//   * the TMR, naive-Hamming, Hsiao and Reed-Solomon LUT ALUs match it
+//     too where lane words diverge independently (130 trials per
+//     workload in 256- and 512-lane groups at 2%), sink on and off;
 //   * the structural mirror evaluates every catalogued ALU word-parallel
 //     except the gate-level TMR read path, which falls back to per-lane
 //     scalar compute (a silent fallback would pass every bit-identity
@@ -119,19 +122,24 @@ TEST(SimdTier, Avx512TierReproducesSeedGolden) {
   run_forced_tier_golden(simd::SimdTier::kAvx512);
 }
 
-// Point-for-point and counter-for-counter equality with the scalar
-// trial engine's sweep.
+// Point-for-point equality with the scalar trial engine's sweep.
+void expect_same_points(const std::vector<DataPoint>& base,
+                        const std::vector<DataPoint>& wide,
+                        const SweepSpec& spec, const std::string& where) {
+  ASSERT_EQ(wide.size(), base.size()) << where;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(wide[i].mean_percent_correct, base[i].mean_percent_correct)
+        << where << " percent=" << spec.percents[i];
+    EXPECT_EQ(wide[i].stddev, base[i].stddev) << where;
+    EXPECT_EQ(wide[i].ci95, base[i].ci95) << where;
+    EXPECT_EQ(wide[i].samples, base[i].samples) << where;
+  }
+}
+
+// ... and counter-for-counter.
 void expect_same_anatomy(const SweepAnatomy& base, const SweepAnatomy& wide,
                          const SweepSpec& spec, const std::string& where) {
-  ASSERT_EQ(wide.points.size(), base.points.size()) << where;
-  for (std::size_t i = 0; i < base.points.size(); ++i) {
-    EXPECT_EQ(wide.points[i].mean_percent_correct,
-              base.points[i].mean_percent_correct)
-        << where << " percent=" << spec.percents[i];
-    EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << where;
-    EXPECT_EQ(wide.points[i].ci95, base.points[i].ci95) << where;
-    EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << where;
-  }
+  expect_same_points(base.points, wide.points, spec, where);
   ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << where;
   for (std::size_t i = 0; i < base.metrics.size(); ++i) {
     EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
@@ -187,6 +195,58 @@ TEST(SimdTier, Avx2TierDecodesEveryAluLikeTheScalarEngine) {
 
 TEST(SimdTier, Avx512TierDecodesEveryAluLikeTheScalarEngine) {
   run_decode_coverage(simd::SimdTier::kAvx512);
+}
+
+// The decode coverage above runs 2 trials per workload, so every live
+// lane sits in lane word 0. Here 130 trials fill words 0-2 of a 256- and
+// a 512-lane group, and at 2% each word's carries, copy results and
+// syndromes diverge on their own: a kernel that judged a mux selector
+// row uniform from one lane word, or skipped decoding a leaf another
+// word's lanes address, matches the scalar engine there and fails here.
+// The points are checked with the sink off too: the readers decode only
+// the addressed bit's share then, and everything with the sink on.
+void run_cross_word_divergence(simd::SimdTier tier) {
+  if (!simd::tier_supported(tier)) {
+    GTEST_SKIP() << "tier '" << simd::tier_name(tier)
+                 << "' not compiled in or not supported by this CPU";
+  }
+  SweepSpec spec;
+  spec.percents = {2.0};
+  spec.trials_per_workload = 130;
+  spec.seed = 20261017;
+  const auto streams = paper_streams(spec.seed);
+
+  const simd::ScopedTierOverride forced(tier);
+  // TMR, naive Hamming, Hsiao and Reed-Solomon LUT cores.
+  for (const std::string name : {"aluss", "alush", "alushsiao", "alusrs"}) {
+    const auto alu = make_alu(name);
+    ASSERT_NE(alu, nullptr) << name;
+    const SweepAnatomy base =
+        TrialEngine(ParallelConfig{}).sweep_anatomy(*alu, streams, spec);
+    for (const unsigned lanes : {256u, 512u}) {
+      ParallelConfig wide_cfg;
+      wide_cfg.batch_lanes = lanes;
+      const TrialEngine wide(wide_cfg);
+      const std::string where = name + " lanes=" + std::to_string(lanes) +
+                                " tier=" + std::string(simd::tier_name(tier));
+      expect_same_anatomy(base, wide.sweep_anatomy(*alu, streams, spec),
+                          spec, where);
+      expect_same_points(base.points, wide.sweep(*alu, streams, spec), spec,
+                         where + " sink off");
+    }
+  }
+}
+
+TEST(SimdTier, ScalarTierMatchesWhereLaneWordsDiverge) {
+  run_cross_word_divergence(simd::SimdTier::kScalar);
+}
+
+TEST(SimdTier, Avx2TierMatchesWhereLaneWordsDiverge) {
+  run_cross_word_divergence(simd::SimdTier::kAvx2);
+}
+
+TEST(SimdTier, Avx512TierMatchesWhereLaneWordsDiverge) {
+  run_cross_word_divergence(simd::SimdTier::kAvx512);
 }
 
 // Fault sites the mirror's mask segments cover: its cores, its voter,
