@@ -36,17 +36,8 @@ struct ModuleStats {
 
   /// Optional fault-anatomy sink for module-level events (not owned).
   /// Callers wanting the bit-level anatomy too set lut.obs to the same
-  /// sink. Null costs one pointer test per vote; reset() keeps the
-  /// attachment.
+  /// sink. Null costs one pointer test per vote.
   obs::Counters* obs = nullptr;
-
-  void reset() {
-    obs::Counters* sink = obs;
-    obs::Counters* lut_sink = lut.obs;
-    *this = ModuleStats{};
-    obs = sink;
-    lut.obs = lut_sink;
-  }
 };
 
 /// Result of one module-level computation.

@@ -32,6 +32,15 @@ class HwLutCoreAlu : public CoreAlu {
 
   static constexpr std::size_t kLutCount = 32;
 
+  /// The LUTs and their site offsets in slice-major role order, as
+  /// LutCoreAlu's (the wide lane engine mirrors them).
+  [[nodiscard]] const HwTmrLut& lut_at(std::size_t i) const {
+    return luts_[i];
+  }
+  [[nodiscard]] std::size_t lut_offset(std::size_t i) const {
+    return offsets_[i];
+  }
+
  private:
   enum Role : std::size_t { kLogic = 0, kSum = 1, kCarry = 2, kSelect = 3 };
 

@@ -112,8 +112,9 @@ class BatchBitVec {
   void reshape(std::size_t sites, std::size_t lane_words);
 
   /// Copies sites [offset, offset + out.size()) of lane `lane` into the
-  /// site-packed scalar vector `out` — the transpose a scalar evaluator
-  /// (or a fallback path) consumes.
+  /// site-packed scalar vector `out`: one lane's mask as the scalar
+  /// engine would draw it. Tests are its only readers; the wide engine
+  /// never leaves the lane-sliced layout.
   void extract_lane(unsigned lane, std::size_t offset, BitVec& out) const;
 
   /// Raw word array (size sites() * lane_words(), site-major rows), for

@@ -50,14 +50,6 @@ std::string_view lut_coding_suffix(LutCoding c) {
   return "?";
 }
 
-LutAccessStats& LutAccessStats::operator+=(const LutAccessStats& o) {
-  accesses += o.accesses;
-  corrections += o.corrections;
-  detected_only += o.detected_only;
-  tmr_disagreements += o.tmr_disagreements;
-  return *this;
-}
-
 std::size_t coded_lut_sites(std::size_t table_bits, LutCoding coding) {
   switch (coding) {
     case LutCoding::kNone:

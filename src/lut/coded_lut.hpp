@@ -85,16 +85,8 @@ struct LutAccessStats {
 
   /// Optional fault-anatomy sink (not owned). When set, every coded
   /// read also classifies its outcome against the golden content into
-  /// the per-code counters. Null costs one pointer test per read;
-  /// reset() and operator+= leave the attachment alone.
+  /// the per-code counters. Null costs one pointer test per read.
   obs::Counters* obs = nullptr;
-
-  void reset() {
-    obs::Counters* sink = obs;
-    *this = LutAccessStats{};
-    obs = sink;
-  }
-  LutAccessStats& operator+=(const LutAccessStats& o);
 };
 
 /// The anatomy bucket a LutCoding reports into, or null for kNone /

@@ -51,6 +51,10 @@ class HwTmrLut {
   [[nodiscard]] bool read(std::uint32_t addr, MaskView mask) const;
 
   [[nodiscard]] const Netlist& netlist() const { return net_; }
+  /// The read path's majority output. Inputs are the 4 address lines,
+  /// then the 48 storage cells copy-major; the netlist is the same for
+  /// every truth table.
+  [[nodiscard]] Signal output() const { return out_; }
   [[nodiscard]] const BitVec& golden_table() const { return tt_; }
 
  private:

@@ -21,12 +21,18 @@
 //     arithmetic, only for the symbols the tree reads. Every coding has
 //     this one read path, for every lane;
 //   * gate netlists (eval_netlist) — parallel-pattern simulation of the
-//     CMOS cores and voter;
+//     CMOS cores and voter, and of the hw cores' gate-level LUT read
+//     paths (hw_lut_read: one shared netlist over each LUT's storage);
+//   * LUT cores (eval_lut_core) — the 8-slice ripple loop, one body over
+//     either LUT kind's read;
 //   * modules (WideModuleExec) — the shared compute_single/space/time
 //     plans of alu/module_plan.hpp at W lane words;
 //   * the fault masks (lockstep_masks) — exactly MaskGenerator's
 //     per-lane draws, for a block of lanes at once;
 //   * one lane group end to end (run_group_impl).
+// Every catalogued ALU runs through these kernels; there is no per-lane
+// scalar path. The anatomy sink is the group's obs::Counters, null when
+// off, and a LUT reader gets its code's CodeLayerCounters.
 // Every tier at every W must be bit-identical to the scalar trial engine,
 // including anatomy counters (nbxcheck backend-differential,
 // tests/sim/simd_tier_test.cpp).
@@ -41,7 +47,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "alu/alu_iface.hpp"
 #include "alu/module_plan.hpp"
 #include "common/batch_bitvec.hpp"
 #include "gatesim/netlist.hpp"
@@ -238,21 +243,15 @@ LaneVec<W> lane_mux(const MuxSel<W>& ms, Leaf&& leaf) {
 // Each reader returns every lane's addressed bit as the faulted LUT
 // delivers it, bit-identical per lane to CodedLut::read. `addr` is the
 // read's address, classified once by lut_read; `mask` is always a real
-// (possibly all-zero) mask: the group kernel owns one. `stats` is null
-// unless an anatomy sink is attached; it then carries the sink
-// (stats->obs) for the decode counters. With the sink off, a reader
-// computes only what the addressed bit needs.
-
-/// The decode-outcome counters a read tallies into, or null.
-inline obs::CodeLayerCounters* code_sink(const LutAccessStats* stats,
-                                         LutCoding coding) {
-  return stats != nullptr ? code_layer_of(stats->obs, coding) : nullptr;
-}
+// (possibly all-zero) mask: the group kernel owns one. `oc` is the
+// code's decode-outcome counters, null unless an anatomy sink is
+// attached. With the sink off, a reader computes only what the addressed
+// bit needs.
 
 template <std::size_t W>
 LaneVec<W> read_tmr(const WideLut& t, const MuxSel<W>& addr,
                     const BatchBitVec& mask, std::size_t offset,
-                    const LaneVec<W>& active, LutAccessStats* stats) {
+                    const LaneVec<W>& active, obs::CodeLayerCounters* oc) {
   using V = LaneVec<W>;
   const std::size_t n = t.golden.size();
   V copies[3];
@@ -264,7 +263,7 @@ LaneVec<W> read_tmr(const WideLut& t, const MuxSel<W>& addr,
   }
   const V voted = (copies[0] & copies[1]) | (copies[1] & copies[2]) |
                   (copies[0] & copies[2]);
-  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+  if (oc != nullptr) {
     // Compare the copies and the vote against the golden addressed bit.
     const V g = lane_mux<W>(addr, [&](std::size_t s) {
       return V::splat(t.golden[s]);
@@ -304,7 +303,7 @@ LaneVec<W> lane_syndrome(const WideCode& code, const BatchBitVec& mask,
 template <std::size_t W>
 LaneVec<W> read_sec(const WideLut& t, const MuxSel<W>& addr,
                     const BatchBitVec& mask, std::size_t offset,
-                    const LaneVec<W>& active, LutAccessStats* stats) {
+                    const LaneVec<W>& active, obs::CodeLayerCounters* oc) {
   using V = LaneVec<W>;
   const WideCode& code = *t.code;
   const std::size_t r = code.syndrome_sites.size();
@@ -328,7 +327,6 @@ LaneVec<W> read_sec(const WideLut& t, const MuxSel<W>& addr,
     eq &= ~(syn[j] ^ col_j);
     fp |= syn[j] & col_j;
   }
-  obs::CodeLayerCounters* oc = code_sink(stats, t.coding);
   if (oc == nullptr && t.coding != LutCoding::kHamming) {
     // Hsiao and ideal Hamming touch only the bit the syndrome names;
     // whether the decoder calls the syndrome a repair is for the
@@ -401,7 +399,7 @@ template <std::size_t W>
                                      const BatchBitVec& mask,
                                      std::size_t offset,
                                      const LaneVec<W>& active,
-                                     LutAccessStats* stats) {
+                                     obs::CodeLayerCounters* oc) {
   using V = LaneVec<W>;
   const WideCode& code = *t.code;
   const std::size_t n = t.golden.size();
@@ -430,7 +428,7 @@ template <std::size_t W>
   };
   // Bit i: data symbol 2 + i has its fix[] filled.
   std::uint32_t ready = 0;
-  if (obs::CodeLayerCounters* oc = code_sink(stats, t.coding)) {
+  if (oc != nullptr) {
     V located = V::zero();
     for (std::size_t j = 0; j < code.rs_locate.size(); ++j) {
       located |= locate(j);
@@ -466,13 +464,18 @@ template <std::size_t W>
   });
 }
 
+/// A CodedLut read; `sink` is the anatomy sink or null.
 template <std::size_t W>
 LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
-                    const LaneVec<W>& active, LutAccessStats* stats) {
+                    const LaneVec<W>& active, obs::Counters* sink) {
   using V = LaneVec<W>;
   assert(offset + t.sites <= mask.sites());
   const MuxSel<W> addr(t.inputs, addr_bits);
+  // Tested here, not in the out-of-line code_layer_of: the sink is off on
+  // the hot path.
+  obs::CodeLayerCounters* oc =
+      sink != nullptr ? code_layer_of(sink, t.coding) : nullptr;
   switch (t.coding) {
     case LutCoding::kNone:
       return lane_mux<W>(addr, [&](std::size_t s) {
@@ -480,13 +483,13 @@ LaneVec<W> lut_read(const WideLut& t, const LaneVec<W>* addr_bits,
       });
     case LutCoding::kTmr:
     case LutCoding::kTmrInterleaved:
-      return read_tmr<W>(t, addr, mask, offset, active, stats);
+      return read_tmr<W>(t, addr, mask, offset, active, oc);
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
     case LutCoding::kHsiao:
-      return read_sec<W>(t, addr, mask, offset, active, stats);
+      return read_sec<W>(t, addr, mask, offset, active, oc);
     case LutCoding::kReedSolomon:
-      return read_rs<W>(t, addr, mask, offset, active, stats);
+      return read_rs<W>(t, addr, mask, offset, active, oc);
   }
   return V::zero();
 }
@@ -552,6 +555,29 @@ void eval_netlist(const Netlist& nl, const LaneVec<W>* inputs,
   }
 }
 
+/// A gate-level HwTmrLut read (the hw cores): the read-path netlist over
+/// the 4 address rows and the storage rows (three blocked copies of the
+/// golden leaves, each XOR its mask row), its gate faults at the sites
+/// after the storage. Bit-identical per lane to HwTmrLut::read, and like
+/// it, counts nothing into the anatomy.
+template <std::size_t W>
+LaneVec<W> hw_lut_read(const WideMirror::Core& core, const WideLut& t,
+                       const LaneVec<W>* addr_bits, const BatchBitVec& mask,
+                       std::size_t offset, std::uint64_t* nodes) {
+  using V = LaneVec<W>;
+  constexpr std::size_t kAddr = 4;
+  constexpr std::size_t kStorage = 3 * 16;
+  assert(t.inputs == kAddr && t.golden.size() == 16);
+  V inputs[kAddr + kStorage];
+  std::copy_n(addr_bits, kAddr, inputs);
+  for (std::size_t s = 0; s < kStorage; ++s) {
+    inputs[kAddr + s] =
+        V::splat(t.golden[s % 16]) ^ V::load(mask.row(offset + s));
+  }
+  eval_netlist<W>(*core.netlist, inputs, mask, offset + kStorage, nodes);
+  return signal_word<W>(core.lut_out, inputs, nodes);
+}
+
 // ------------------------------------------------------- cores & voters
 
 /// Lane-sliced result of one module computation: value[b] holds result
@@ -563,25 +589,19 @@ struct WideOut {
   LaneVec<W> disagreement;
 };
 
-/// A LutCoreAlu pass: 32 LUT reads with a lane-sliced ripple carry
-/// (carries diverge between lanes after the first faulted read).
-template <std::size_t W>
-void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
-                   std::uint8_t b, const BatchBitVec& mask,
-                   std::size_t offset, const LaneVec<W>& active,
-                   LaneVec<W> out[8], ModuleStats* stats) {
+/// A LUT core pass, LutCoreAlu's and HwLutCoreAlu's alike: 32 LUT reads
+/// with a lane-sliced ripple carry (carries diverge between lanes after
+/// the first faulted read). `read(i, addr)` reads LUT i (slice-major,
+/// then role) at the 4 address rows `addr`.
+template <std::size_t W, class Read>
+void eval_lut_core(Opcode op, std::uint8_t a, std::uint8_t b,
+                   LaneVec<W> out[8], Read&& read) {
   using V = LaneVec<W>;
   enum Role : std::size_t { kLogic = 0, kSum = 1, kCarry = 2, kSelect = 3 };
   const auto opbits = static_cast<std::uint32_t>(op);
   const V op0 = V::splat(lane_broadcast(opbits & 1u));
   const V op1 = V::splat(lane_broadcast(opbits & 2u));
   const V op2 = V::splat(lane_broadcast(opbits & 4u));
-  LutAccessStats* ls = stats != nullptr ? &stats->lut : nullptr;
-  const auto read = [&](std::size_t slice, Role r, const V addr[4]) {
-    const std::size_t i = slice * 4 + r;
-    return lut_read<W>(blk.luts[i], addr, mask, offset + blk.offsets[i],
-                       active, ls);
-  };
 
   V cin = V::zero();
   for (std::size_t i = 0; i < 8; ++i) {
@@ -589,14 +609,14 @@ void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
     const V bi = V::splat(lane_broadcast((b >> i) & 1u));
 
     const V l_addr[4] = {ai, bi, op0, op1};
-    const V l = read(i, kLogic, l_addr);
+    const V l = read(i * 4 + kLogic, l_addr);
 
     const V sc_addr[4] = {ai, bi, cin, op2};
-    const V s = read(i, kSum, sc_addr);
-    const V c = read(i, kCarry, sc_addr);
+    const V s = read(i * 4 + kSum, sc_addr);
+    const V c = read(i * 4 + kCarry, sc_addr);
 
     const V o_addr[4] = {op2, l, s, V::zero()};
-    out[i] = read(i, kSelect, o_addr);
+    out[i] = read(i * 4 + kSelect, o_addr);
     cin = c;
   }
 }
@@ -657,9 +677,8 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
               const LaneVec<W>& vx, const LaneVec<W>& vy,
               const LaneVec<W>& vz, const BatchBitVec& mask,
               std::size_t offset, const LaneVec<W>& active, WideOut<W>& out,
-              ModuleStats* stats) {
+              obs::Counters* sink) {
   using V = LaneVec<W>;
-  LutAccessStats* ls = stats != nullptr ? &stats->lut : nullptr;
   V value_diff = V::zero();
   for (std::size_t i = 0; i < 8; ++i) {
     value_diff |= (x[i] ^ y[i]) | (y[i] ^ z[i]);
@@ -668,14 +687,14 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
   for (std::size_t i = 0; i < 8; ++i) {
     const V addr[4] = {x[i], y[i], z[i], V::zero()};
     out.value[i] = lut_read<W>(blk.luts[i], addr, mask,
-                               offset + blk.offsets[i], active, ls);
+                               offset + blk.offsets[i], active, sink);
   }
   const V vaddr[4] = {vx, vy, vz, V::zero()};
   out.valid = lut_read<W>(blk.luts[8], vaddr, mask, offset + blk.offsets[8],
-                          active, ls);
-  if (stats != nullptr) {
+                          active, sink);
+  if (sink != nullptr) {
     const V majv = (vx & vy) | (vy & vz) | (vx & vz);
-    account_vote<W>(*stats->obs, x, y, z, out, out.valid ^ majv, active);
+    account_vote<W>(*sink, x, y, z, out, out.valid ^ majv, active);
   }
 }
 
@@ -685,7 +704,7 @@ void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
                const LaneVec<W> y[8], const LaneVec<W> z[8],
                const BatchBitVec& mask, std::size_t offset,
                const LaneVec<W>& active, WideOut<W>& out,
-               ModuleStats* stats, std::uint64_t* nodes) {
+               obs::Counters* sink, std::uint64_t* nodes) {
   using V = LaneVec<W>;
   V inputs[24];
   for (std::size_t i = 0; i < 8; ++i) {
@@ -699,8 +718,8 @@ void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
   }
   out.valid = V::ones();
   out.disagreement = signal_word<W>(voter.error, inputs, nodes);
-  if (stats != nullptr) {
-    account_vote<W>(*stats->obs, x, y, z, out, V::zero(), active);
+  if (sink != nullptr) {
+    account_vote<W>(*sink, x, y, z, out, V::zero(), active);
   }
 }
 
@@ -721,8 +740,7 @@ struct WideModuleExec {
   std::uint8_t b;
   const BatchBitVec* mask;  ///< never null in the wide engine
   LaneVec<W> active;
-  ModuleStats* stats;       ///< null unless an anatomy sink (stats->obs)
-                            ///< is attached
+  obs::Counters* sink;      ///< the anatomy sink, or null
   const WideMirror* mirror;
   std::uint64_t* nodes;     ///< arena netlist scratch
   WideOut<W>* out;
@@ -737,11 +755,25 @@ struct WideModuleExec {
 
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
     const WideMirror::Core& c = mirror->cores()[core];
-    if (c.kind == WideMirror::PartKind::kLut) {
-      eval_lut_core<W>(c.block, op, a, b, *mask, offset, active, r.w, stats);
-    } else {
-      // Matches the scalar datapath: no correction telemetry.
-      eval_cmos_core<W>(c, op, a, b, *mask, offset, r.w, nodes);
+    const WideLutBlock& blk = c.block;
+    switch (c.kind) {
+      case WideMirror::PartKind::kLut:
+        eval_lut_core<W>(op, a, b, r.w, [&](std::size_t i, const auto* addr) {
+          return lut_read<W>(blk.luts[i], addr, *mask,
+                             offset + blk.offsets[i], active, sink);
+        });
+        break;
+      case WideMirror::PartKind::kHwLut:
+        // The hw and CMOS cores match their scalar datapaths: no
+        // correction telemetry.
+        eval_lut_core<W>(op, a, b, r.w, [&](std::size_t i, const auto* addr) {
+          return hw_lut_read<W>(c, blk.luts[i], addr, *mask,
+                                offset + blk.offsets[i], nodes);
+        });
+        break;
+      case WideMirror::PartKind::kCmos:
+        eval_cmos_core<W>(c, op, a, b, *mask, offset, r.w, nodes);
+        break;
     }
   }
 
@@ -751,12 +783,12 @@ struct WideModuleExec {
       r.w[bit] ^= V::load(mask->row(slot + bit));
     }
     v = ~V::load(mask->row(slot + 8));
-    if (stats != nullptr) {
+    if (sink != nullptr) {
       std::uint64_t hits = 0;
       for (std::size_t bit = 0; bit < plan::kStoredBitsPerPass; ++bit) {
         hits += popcnt(V::load(mask->row(slot + bit)), active);
       }
-      stats->obs->module_level.storage_faults += hits;
+      sink->module_level.storage_faults += hits;
     }
   }
 
@@ -764,12 +796,12 @@ struct WideModuleExec {
     const WideMirror::Voter& vt = *mirror->voter();
     if (vt.kind == WideMirror::PartKind::kLut) {
       lut_vote<W>(vt.block, r[0].w, r[1].w, r[2].w, v[0], v[1], v[2], *mask,
-                  voter_off, active, *out, stats);
+                  voter_off, active, *out, sink);
     } else {
       // The CMOS module has no data-valid datapath (v[] unused), exactly
       // like the scalar CmosVoter.
       cmos_vote<W>(vt, r[0].w, r[1].w, r[2].w, *mask, voter_off, active,
-                   *out, stats, nodes);
+                   *out, sink, nodes);
     }
   }
 
@@ -781,46 +813,6 @@ struct WideModuleExec {
     out->disagreement = LaneVec<W>::zero();
   }
 };
-
-/// The per-lane scalar bridge for module structures without a
-/// word-parallel mirror: each active lane's mask column runs through
-/// IAlu::compute and the outputs scatter back into the lane slices.
-template <std::size_t W>
-void compute_lanes_scalar(const IAlu& alu, Opcode op, std::uint8_t a,
-                          std::uint8_t b, const BatchBitVec& mask,
-                          const LaneVec<W>& active, WideOut<W>& out,
-                          ModuleStats* stats, BitVec& lane_mask) {
-  using V = LaneVec<W>;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out.value[i] = V::zero();
-  }
-  out.valid = V::zero();
-  out.disagreement = V::zero();
-  if (lane_mask.size() != alu.fault_sites()) {
-    lane_mask = BitVec(alu.fault_sites());
-  }
-  for (std::size_t wi = 0; wi < W; ++wi) {
-    for (std::uint64_t rest = active.w[wi]; rest != 0; rest &= rest - 1) {
-      const auto lane = static_cast<unsigned>(
-          wi * kLanesPerWord + static_cast<unsigned>(std::countr_zero(rest)));
-      mask.extract_lane(lane, 0, lane_mask);
-      const AluOutput r = alu.compute(
-          op, a, b, MaskView(lane_mask, 0, lane_mask.size()), stats);
-      const std::uint64_t sel = std::uint64_t{1} << (lane % kLanesPerWord);
-      for (unsigned bit = 0; bit < 8; ++bit) {
-        if ((r.value >> bit) & 1u) {
-          out.value[bit].w[wi] |= sel;
-        }
-      }
-      if (r.valid) {
-        out.valid.w[wi] |= sel;
-      }
-      if (r.disagreement) {
-        out.disagreement.w[wi] |= sel;
-      }
-    }
-  }
-}
 
 // -------------------------------------------------------- lockstep masks
 //
@@ -974,13 +966,8 @@ void run_group_impl(const WideGroupJob& job) {
   assert(ar.rngs.size() == in_group && ar.lane_states != nullptr);
   assert(ar.incorrect.size() >= in_group);
 
+  // The anatomy sink, passed to the kernels as is; null when off.
   obs::Counters* oc = job.anatomy;
-  // Carries the anatomy sink into the kernels and into the whole-ALU
-  // scalar bridge of the hw cores; null when off.
-  ModuleStats sink;
-  sink.obs = oc;
-  sink.lut.obs = oc;
-  ModuleStats* stats = oc != nullptr ? &sink : nullptr;
   // The i.i.d. counting policies draw through the lockstep mask layer
   // on the group's states as SoA, loaded once here. Wear-out schedules
   // (job.gens: each lane runs at its own effective rate), Bernoulli and
@@ -1018,23 +1005,18 @@ void run_group_impl(const WideGroupJob& job) {
         oc->injection.faults_injected += flipped;
       }
     }
-    if (mir.is_fallback()) {
-      compute_lanes_scalar<W>(mir.scalar_alu(), ins.op, ins.a, ins.b, mask,
-                              active, out, stats, ar.lane_mask);
-    } else {
-      WideModuleExec<W> ex{ins.op, ins.a,  ins.b,           &mask, active,
-                           stats,  &mir,   ar.nodes.data(), &out};
-      switch (mir.level()) {
-        case WideMirror::Level::kSingle:
-          plan::compute_single(ex);
-          break;
-        case WideMirror::Level::kSpace:
-          plan::compute_space(ex);
-          break;
-        case WideMirror::Level::kTime:
-          plan::compute_time(ex);
-          break;
-      }
+    WideModuleExec<W> ex{ins.op, ins.a, ins.b,           &mask, active,
+                         oc,     &mir,  ar.nodes.data(), &out};
+    switch (mir.level()) {
+      case WideMirror::Level::kSingle:
+        plan::compute_single(ex);
+        break;
+      case WideMirror::Level::kSpace:
+        plan::compute_space(ex);
+        break;
+      case WideMirror::Level::kTime:
+        plan::compute_time(ex);
+        break;
     }
     V wrong = V::zero();
     for (unsigned bit = 0; bit < 8; ++bit) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/batch_bitvec.hpp"
-#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "fault/mask_generator.hpp"
 #include "obs/counters.hpp"
@@ -57,8 +56,6 @@ struct WideArena {
   std::unique_ptr<LaneRngStates> lane_states;
   std::vector<std::uint32_t> incorrect;  ///< per-lane wrong-result count
   std::vector<std::uint64_t> nodes;  ///< netlist node words (W per node)
-  BitVec lane_mask;                  ///< one lane's mask column, for the
-                                     ///< whole-ALU scalar bridge (hw cores)
   std::vector<MaskGenerator> gens;   ///< per-lane generators (wear-out
                                      ///< schedules only; empty when the
                                      ///< group shares WideGroupJob::gen)
@@ -72,7 +69,6 @@ struct WideArena {
            (lane_states ? sizeof(LaneRngStates) : 0) +
            incorrect.capacity() * sizeof(std::uint32_t) +
            nodes.capacity() * sizeof(std::uint64_t) +
-           (lane_mask.size() + 7) / 8 +
            gens.capacity() * sizeof(MaskGenerator);
   }
 };

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "alu/cmos_core_alu.hpp"
+#include "alu/hw_core_alu.hpp"
 #include "alu/lut_core_alu.hpp"
 #include "alu/module_alu.hpp"
 #include "alu/voter.hpp"
@@ -145,18 +148,24 @@ std::unique_ptr<const WideCode> build_code(LutCoding coding, std::size_t n) {
   return c;
 }
 
-/// The wide view of `lut`, its code tables shared through `codes`.
-WideLut wide_lut(const CodedLut& lut, CodeTables& codes) {
+/// A LUT with `sites` fault sites and truth table `tt`, without code
+/// tables: its address width and golden leaves.
+WideLut wide_leaves(const BitVec& tt, std::size_t sites) {
   WideLut t;
-  t.coding = lut.coding();
-  t.inputs = static_cast<std::size_t>(lut.inputs());
-  t.sites = lut.fault_sites();
-  const std::size_t n = lut.table_bits();
-  const BitVec& tt = lut.golden_table();
-  t.golden.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
+  t.inputs = static_cast<std::size_t>(std::countr_zero(tt.size()));
+  t.sites = sites;
+  t.golden.resize(tt.size());
+  for (std::size_t s = 0; s < tt.size(); ++s) {
     t.golden[s] = lane_broadcast(tt.get(s));
   }
+  return t;
+}
+
+/// The wide view of `lut`, its code tables shared through `codes`.
+WideLut wide_lut(const CodedLut& lut, CodeTables& codes) {
+  WideLut t = wide_leaves(lut.golden_table(), lut.fault_sites());
+  t.coding = lut.coding();
+  const std::size_t n = lut.table_bits();
   const auto shared =
       std::find_if(codes.begin(), codes.end(), [&](const auto& c) {
         return c->coding == t.coding && c->table_bits == n;
@@ -167,7 +176,12 @@ WideLut wide_lut(const CodedLut& lut, CodeTables& codes) {
   return t;
 }
 
-/// The LUTs of a LutCoreAlu or LutVoter, as a WideLutBlock.
+/// The wide view of a gate-level `lut`: its golden leaves alone.
+WideLut wide_lut(const HwTmrLut& lut, CodeTables& /*codes*/) {
+  return wide_leaves(lut.golden_table(), lut.fault_sites());
+}
+
+/// The LUTs of a LutCoreAlu, HwLutCoreAlu or LutVoter, as a WideLutBlock.
 template <class LutOwner>
 void mirror_luts(const LutOwner& owner, std::size_t count, CodeTables& codes,
                  WideLutBlock& out) {
@@ -186,6 +200,15 @@ bool mirror_core(const CoreAlu& core, CodeTables& codes,
   if (const auto* lut = dynamic_cast<const LutCoreAlu*>(&core)) {
     out.kind = WideMirror::PartKind::kLut;
     mirror_luts(*lut, LutCoreAlu::kLutCount, codes, out.block);
+    return true;
+  }
+  if (const auto* hw = dynamic_cast<const HwLutCoreAlu*>(&core)) {
+    // A HwTmrLut's truth table enters its read path only through the
+    // storage inputs, so one netlist serves all 32.
+    out.kind = WideMirror::PartKind::kHwLut;
+    out.netlist = &hw->lut_at(0).netlist();
+    out.lut_out = hw->lut_at(0).output();
+    mirror_luts(*hw, HwLutCoreAlu::kLutCount, codes, out.block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosCoreAlu*>(&core)) {
@@ -223,43 +246,37 @@ bool mirror_voter(const IVoter& voter, CodeTables& codes,
 
 std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
   auto m = std::make_unique<WideMirror>();
-  m->alu_ = &alu;
-  bool ok = true;
+  std::vector<const CoreAlu*> cores;
+  const IVoter* voter = nullptr;
   if (const auto* single = dynamic_cast<const SingleAlu*>(&alu)) {
     m->level_ = Level::kSingle;
-    m->cores_.resize(1);
-    ok = mirror_core(single->core(), m->codes_, m->cores_[0]);
+    cores = {&single->core()};
   } else if (const auto* space =
                  dynamic_cast<const SpaceRedundantAlu*>(&alu)) {
     m->level_ = Level::kSpace;
-    m->cores_.resize(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-      ok = ok && mirror_core(space->core(i), m->codes_, m->cores_[i]);
-    }
-    m->has_voter_ = ok && mirror_voter(space->voter(), m->codes_, m->voter_);
-    ok = ok && m->has_voter_;
+    cores = {&space->core(0), &space->core(1), &space->core(2)};
+    voter = &space->voter();
   } else if (const auto* time = dynamic_cast<const TimeRedundantAlu*>(&alu)) {
     m->level_ = Level::kTime;
-    m->cores_.resize(1);
-    ok = mirror_core(time->core(), m->codes_, m->cores_[0]);
-    m->has_voter_ = ok && mirror_voter(time->voter(), m->codes_, m->voter_);
-    ok = ok && m->has_voter_;
-  } else {
-    ok = false;
+    cores = {&time->core()};
+    voter = &time->voter();
   }
-  if (!ok) {
-    m->fallback_ = true;
-    m->cores_.clear();
-    m->has_voter_ = false;
-    m->codes_.clear();
-    return m;
+  m->cores_.resize(cores.size());
+  bool ok = !cores.empty();
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    ok = ok && mirror_core(*cores[i], m->codes_, m->cores_[i]);
+  }
+  if (!ok ||
+      (voter != nullptr && !mirror_voter(*voter, m->codes_, m->voter_))) {
+    throw std::invalid_argument("WideMirror: no word-parallel mirror of '" +
+                                std::string(alu.name()) + "'");
   }
   for (const Core& c : m->cores_) {
     if (c.netlist != nullptr) {
       m->max_nodes_ = std::max(m->max_nodes_, c.netlist->node_count());
     }
   }
-  if (m->has_voter_ && m->voter_.netlist != nullptr) {
+  if (voter != nullptr && m->voter_.netlist != nullptr) {
     m->max_nodes_ = std::max(m->max_nodes_, m->voter_.netlist->node_count());
   }
   return m;

@@ -10,7 +10,8 @@
 // is per-engine-run (cheap, read-only, shared across worker threads), so
 // tiers cannot disagree about structure, only about register width — and
 // the width is verified bit-identical by the nbxcheck backend-differential
-// family.
+// family. Every catalogued ALU has a mirror: the kernels are the wide
+// engine's only path, with no per-lane fallback.
 #pragma once
 
 #include <cstddef>
@@ -64,36 +65,41 @@ struct WideCode {
 };
 
 /// One CodedLut as the wide kernels read it: its golden leaves plus the
-/// shared tables of its code.
+/// shared tables of its code. A gate-level HwTmrLut keeps only its
+/// leaves; its core holds the read-path netlist.
 struct WideLut {
-  const WideCode* code = nullptr;  ///< owned by the WideMirror
+  const WideCode* code = nullptr;  ///< owned by the WideMirror; null (hw)
   LutCoding coding = LutCoding::kNone;
   std::size_t inputs = 0;  ///< address bits k
   std::size_t sites = 0;   ///< stored bits (fault sites) of this LUT
   std::vector<std::uint64_t> golden;  ///< 2^k truth-table leaves
 };
 
-/// One LUT block: the LUTs of a LutCoreAlu (32) or LutVoter (9) plus
-/// each LUT's site offset inside its owner's mask segment.
+/// One LUT block: the LUTs of a LutCoreAlu or HwLutCoreAlu (32) or a
+/// LutVoter (9), plus each LUT's site offset inside its owner's mask
+/// segment.
 struct WideLutBlock {
   std::vector<WideLut> luts;
   std::vector<std::size_t> offsets;
 };
 
-/// The structural mirror of one IAlu. `fallback` mirrors are evaluated
-/// per-lane through the scalar IAlu::compute (unrecognized structures —
-/// the hardware-LUT ablation cores and future ALUs).
+/// The structural mirror of one IAlu.
 class WideMirror {
  public:
   enum class Level : std::uint8_t { kSingle, kSpace, kTime };
-  enum class PartKind : std::uint8_t { kLut, kCmos };
+  /// kLut: CodedLuts (LutCoreAlu, LutVoter); kHwLut: the gate-level
+  /// HwTmrLuts of a HwLutCoreAlu; kCmos: one gate netlist.
+  enum class PartKind : std::uint8_t { kLut, kHwLut, kCmos };
 
   struct Core {
     PartKind kind = PartKind::kLut;
     std::size_t sites = 0;
-    WideLutBlock block;                   // kLut
-    const Netlist* netlist = nullptr;     // kCmos
+    WideLutBlock block;                   // kLut, kHwLut
+    /// kCmos: the core. kHwLut: the read path every HwTmrLut builds
+    /// alike (4 address inputs, 48 storage inputs), output `lut_out`.
+    const Netlist* netlist = nullptr;
     Signal result[8];                     // kCmos
+    Signal lut_out;                       // kHwLut
   };
 
   struct Voter {
@@ -105,28 +111,24 @@ class WideMirror {
     Signal error;                         // kCmos
   };
 
-  /// Builds the mirror of `alu` (which must outlive it). Never fails:
-  /// unrecognized structures yield a fallback mirror.
+  /// Builds the mirror of `alu` (which must outlive it). Throws
+  /// std::invalid_argument for a module, core or voter type it does not
+  /// know.
   static std::unique_ptr<WideMirror> create(const IAlu& alu);
 
-  [[nodiscard]] const IAlu& scalar_alu() const { return *alu_; }
   [[nodiscard]] Level level() const { return level_; }
-  [[nodiscard]] bool is_fallback() const { return fallback_; }
   [[nodiscard]] const std::vector<Core>& cores() const { return cores_; }
   [[nodiscard]] const Voter* voter() const {
-    return has_voter_ ? &voter_ : nullptr;
+    return level_ == Level::kSingle ? nullptr : &voter_;
   }
   /// Largest netlist node count across parts (0 when none) — sizes the
   /// per-worker node scratch once per run.
   [[nodiscard]] std::size_t max_netlist_nodes() const { return max_nodes_; }
 
  private:
-  const IAlu* alu_ = nullptr;
   Level level_ = Level::kSingle;
-  bool fallback_ = false;
-  bool has_voter_ = false;
   std::vector<Core> cores_;  // 1 (single/time) or 3 (space)
-  Voter voter_;
+  Voter voter_;  // kSpace, kTime
   std::size_t max_nodes_ = 0;
   /// One per (coding, table size) among the mirrored LUTs.
   std::vector<std::unique_ptr<const WideCode>> codes_;

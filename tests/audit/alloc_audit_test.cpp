@@ -142,6 +142,12 @@ TEST(AllocAudit, WideEngineSteadyStateAllocatesNothingAt512Lanes) {
 class AllocAuditCoding
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {};
 
+std::string audit_case_name(
+    const ::testing::TestParamInfo<AllocAuditCoding::ParamType>& info) {
+  return std::get<0>(info.param) + "_" +
+         std::to_string(std::get<1>(info.param)) + "lanes";
+}
+
 TEST_P(AllocAuditCoding, WideEngineSteadyStateAllocatesNothing) {
   expect_zero_per_trial_allocations(std::get<0>(GetParam()),
                                     std::get<1>(GetParam()));
@@ -154,10 +160,19 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::string("alunhsiao"),
                                          std::string("alunrs")),
                        ::testing::Values(64u, 512u)),
-    [](const ::testing::TestParamInfo<AllocAuditCoding::ParamType>& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param)) + "lanes";
-    });
+    audit_case_name);
+
+// The hw ALUs' gate-level LUT read paths run as lane-sliced netlists in
+// the arena's node scratch. A per-lane scalar read creeping back
+// (Netlist::evaluate returns a fresh node vector per read) would
+// allocate per read, hence per trial, and fail here.
+INSTANTIATE_TEST_SUITE_P(
+    GateLevel, AllocAuditCoding,
+    ::testing::Combine(::testing::Values(std::string("alunhw"),
+                                         std::string("alushw"),
+                                         std::string("aluthw")),
+                       ::testing::Values(64u, 512u)),
+    audit_case_name);
 
 TEST(AllocAudit, MetricsHotPathAllocatesNothing) {
   // The sharded metric primitives must be pure arithmetic after the

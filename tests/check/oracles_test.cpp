@@ -1,9 +1,8 @@
 // oracles_test.cpp — the differential-oracle registry and replay
 // contracts: family names, smoke depth, deterministic case seeds, and
 // hand-written cases through each family's decoder. The generated smoke
-// cases of the engine-facing families run once per tier-1 pass, in the
-// check_smoke ctest entry (the nbxcheck CLI); the cheap cell, ALU and
-// decoder families also run here.
+// cases of every family run once per tier-1 pass, in the check_smoke
+// ctest entry (the nbxcheck CLI at its default seed and depths).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,29 +15,6 @@
 
 namespace nbx::check {
 namespace {
-
-void run_family_clean(const Property& p) {
-  CheckConfig cfg;
-  cfg.cases = default_smoke_cases(p.name());
-  RunStats stats;
-  const std::optional<Failure> f = p.run_cases(cfg, &stats);
-  ASSERT_FALSE(f.has_value())
-      << p.name() << " case " << f->case_index << " (case_seed "
-      << f->case_seed << "): " << f->message << "\n  case: " << f->case_json
-      << "\n  To debug: nbxcheck --property " << p.name() << " --seed "
-      << cfg.seed;
-  EXPECT_EQ(stats.cases, cfg.cases);
-}
-
-TEST(OracleSmoke, PipelineDifferentialHolds) {
-  run_family_clean(pipeline_differential_property());
-}
-
-TEST(OracleSmoke, AluVsCmosHolds) { run_family_clean(alu_vs_cmos_property()); }
-
-TEST(OracleSmoke, DecodeTErrorHolds) {
-  run_family_clean(decode_t_error_property());
-}
 
 TEST(OracleSmoke, SmokeDepthCoversAtLeastTwoHundredCases) {
   // The tier-1 budget promised in docs/TESTING.md: the families'

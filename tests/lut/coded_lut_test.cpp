@@ -307,20 +307,5 @@ TEST(CodedLut, CodingSuffixes) {
   EXPECT_EQ(lut_coding_suffix(LutCoding::kReedSolomon), "rs");
 }
 
-TEST(CodedLut, StatsAccumulate) {
-  LutAccessStats a;
-  a.accesses = 2;
-  a.corrections = 1;
-  LutAccessStats b;
-  b.accesses = 3;
-  b.tmr_disagreements = 4;
-  a += b;
-  EXPECT_EQ(a.accesses, 5u);
-  EXPECT_EQ(a.corrections, 1u);
-  EXPECT_EQ(a.tmr_disagreements, 4u);
-  a.reset();
-  EXPECT_EQ(a.accesses, 0u);
-}
-
 }  // namespace
 }  // namespace nbx

@@ -156,19 +156,5 @@ TEST(Anatomy, ZeroPercentIsAllCleanAndCorrect) {
   EXPECT_EQ(c.module_level.voter_self_faults, 0u);
 }
 
-TEST(Anatomy, ModuleStatsResetPreservesSinkWiring) {
-  obs::Counters sink;
-  ModuleStats stats;
-  stats.obs = &sink;
-  stats.lut.obs = &sink;
-  stats.computations = 7;
-  stats.lut.accesses = 9;
-  stats.reset();
-  EXPECT_EQ(stats.computations, 0u);
-  EXPECT_EQ(stats.lut.accesses, 0u);
-  EXPECT_EQ(stats.obs, &sink);
-  EXPECT_EQ(stats.lut.obs, &sink);
-}
-
 }  // namespace
 }  // namespace nbx

@@ -21,11 +21,10 @@
 //   * the TMR, naive-Hamming, Hsiao and Reed-Solomon LUT ALUs match it
 //     too where lane words diverge independently (130 trials per
 //     workload in 256- and 512-lane groups at 2%), sink on and off;
-//   * the structural mirror evaluates every catalogued ALU word-parallel
-//     except the gate-level TMR read path, which falls back to per-lane
-//     scalar compute (a silent fallback would pass every bit-identity
-//     test and show only as a slowdown);
-//   * that per-lane bridge is bit-identical to the scalar engine in a
+//   * the structural mirror evaluates every catalogued ALU word-parallel,
+//     the gate-level TMR read paths as one shared netlist per hw core,
+//     and refuses a structure it does not know;
+//   * those gate-level reads are bit-identical to the scalar engine in a
 //     group that spills past the first 64-lane word, on every tier.
 //
 // Tiers the binary or the CPU cannot run are GTEST_SKIPped (visible in
@@ -35,9 +34,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "alu/alu_factory.hpp"
+#include "alu/module_alu.hpp"
 #include "goldens.hpp"
 #include "sim/experiment.hpp"
 #include "simd/simd_dispatch.hpp"
@@ -265,21 +267,17 @@ std::size_t mirrored_sites(const simd::WideMirror& m) {
   return sites;
 }
 
-TEST(WideMirror, CataloguedLutAndCmosAlusAreWordParallel) {
+TEST(WideMirror, EveryCataloguedAluIsWordParallel) {
   for (const AluSpec& s : all_specs()) {
-    if (s.bit == BitLevel::kTmrHw) {
-      continue;
-    }
     const auto alu = make_alu(s.name);
     ASSERT_NE(alu, nullptr) << s.name;
     const auto mirror = simd::WideMirror::create(*alu);
-    EXPECT_FALSE(mirror->is_fallback()) << s.name;
-    EXPECT_EQ(&mirror->scalar_alu(), alu.get()) << s.name;
+    EXPECT_FALSE(mirror->cores().empty()) << s.name;
     EXPECT_EQ(mirrored_sites(*mirror), s.expected_sites) << s.name;
   }
 }
 
-TEST(WideMirror, GateLevelLutReadPathFallsBackToScalarLanes) {
+TEST(WideMirror, GateLevelLutCoresShareOneReadPathNetlist) {
   std::size_t hw = 0;
   for (const AluSpec& s : all_specs()) {
     if (s.bit != BitLevel::kTmrHw) {
@@ -289,42 +287,69 @@ TEST(WideMirror, GateLevelLutReadPathFallsBackToScalarLanes) {
     const auto alu = make_alu(s.name);
     ASSERT_NE(alu, nullptr) << s.name;
     const auto mirror = simd::WideMirror::create(*alu);
-    EXPECT_TRUE(mirror->is_fallback()) << s.name;
-    EXPECT_TRUE(mirror->cores().empty()) << s.name;
-    EXPECT_EQ(mirror->voter(), nullptr) << s.name;
+    for (const simd::WideMirror::Core& c : mirror->cores()) {
+      EXPECT_EQ(c.kind, simd::WideMirror::PartKind::kHwLut) << s.name;
+      ASSERT_NE(c.netlist, nullptr) << s.name;
+      // 4 inverters + 16 minterms + 3 x (16 AND2 + OR16) + 5 majority.
+      EXPECT_EQ(c.netlist->node_count(), 76u) << s.name;
+      ASSERT_EQ(c.block.luts.size(), 32u) << s.name;
+      for (const simd::WideLut& t : c.block.luts) {
+        EXPECT_EQ(t.golden.size(), 16u) << s.name;
+        EXPECT_EQ(t.sites, 48u + 76u) << s.name;
+      }
+    }
+    EXPECT_EQ(mirrored_sites(*mirror), s.expected_sites) << s.name;
   }
-  EXPECT_GT(hw, 0u) << "no hw variant catalogued (alunhw, ...)";
+  EXPECT_EQ(hw, 3u) << "alunhw, aluthw and alushw";
 }
 
-TEST(SimdTier, FallbackMirrorLanesSpanTwoLaneWords) {
+// A core type the mirror does not know: the wide engine has no per-lane
+// path to run it on, so building its mirror must fail loudly.
+class UnknownCore : public CoreAlu {
+ public:
+  [[nodiscard]] std::size_t fault_sites() const override { return 8; }
+  [[nodiscard]] std::uint8_t eval(Opcode, std::uint8_t a, std::uint8_t,
+                                  MaskView, ModuleStats*) const override {
+    return a;
+  }
+};
+
+TEST(WideMirror, UnknownCoreStructureThrows) {
+  const SingleAlu alu("alunknown", std::make_unique<UnknownCore>());
+  EXPECT_THROW((void)simd::WideMirror::create(alu), std::invalid_argument);
+}
+
+TEST(SimdTier, GateLevelMirrorLanesSpanTwoLaneWords) {
   // 65 trials in a 96-lane row: each workload's group puts its last
-  // trial in lane 64, the first lane of the second word, so the per-lane
-  // scalar bridge must read and score across the word boundary. The
-  // generated backend-differential cases keep the hw ALUs inside one
-  // word (milliseconds per lane), so this is their multi-word coverage.
-  const auto alu = make_alu("alunhw");
-  ASSERT_NE(alu, nullptr);
-  ASSERT_TRUE(simd::WideMirror::create(*alu)->is_fallback());
+  // trial in lane 64, the first lane of the second word, so the hw
+  // cores' netlist reads must fault, carry and score across the word
+  // boundary. The generated backend-differential cases keep the hw ALUs
+  // inside one word (the scalar oracle takes milliseconds per trial), so
+  // this is their multi-word coverage.
   SweepSpec spec;
   spec.percents = {1.0};
   spec.trials_per_workload = 65;
   spec.seed = 20261017;
   const auto streams = paper_streams(spec.seed);
-  const SweepAnatomy base =
-      TrialEngine(ParallelConfig{}).sweep_anatomy(*alu, streams, spec);
-
   ParallelConfig wide_cfg;
   wide_cfg.batch_lanes = 96;
-  for (const simd::SimdTier tier :
-       {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
-        simd::SimdTier::kAvx512}) {
-    if (!simd::tier_supported(tier)) {
-      continue;
+  for (const std::string name : {"alunhw", "aluthw", "alushw"}) {
+    const auto alu = make_alu(name);
+    ASSERT_NE(alu, nullptr) << name;
+    const SweepAnatomy base =
+        TrialEngine(ParallelConfig{}).sweep_anatomy(*alu, streams, spec);
+    for (const simd::SimdTier tier :
+         {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
+          simd::SimdTier::kAvx512}) {
+      if (!simd::tier_supported(tier)) {
+        continue;
+      }
+      const simd::ScopedTierOverride forced(tier);
+      expect_same_anatomy(
+          base, TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec),
+          spec,
+          name + " lanes=96 tier=" + std::string(simd::tier_name(tier)));
     }
-    const simd::ScopedTierOverride forced(tier);
-    expect_same_anatomy(
-        base, TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec), spec,
-        "alunhw lanes=96 tier=" + std::string(simd::tier_name(tier)));
   }
 }
 
