@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const auto streams = paper_streams(2026);
   const std::vector<double> percents = {1.0, 2.0, 3.0, 5.0, 9.0};
   const std::vector<std::size_t> burst_lengths = {1, 2, 4, 8};
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
 
   for (const char* name : {"alunn", "alunh", "alunrs", "aluns"}) {
     const auto alu = make_alu(name);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     return cli.status();
   }
   const auto streams = paper_streams(2026);
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
   SweepSpec sweep;
   sweep.percents = paper_sweep();
   sweep.seed = 55;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   }
   const auto streams = paper_streams(2026);
   const std::vector<double> percents = {0.05, 0.1, 0.5, 1.0, 2.0, 5.0};
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
   std::cout << "Fault-count rounding ablation on alunn (512 sites) and "
                "aluncmos (192 sites)\n\n";
   TextTable t({"ALU", "fault%", "round", "floor", "bernoulli"});

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   }
   const auto streams = paper_streams(2026);
   const std::vector<double> percents = {1.0, 2.0, 3.0, 5.0, 9.0, 20.0};
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
   std::cout << "Voter-fault ablation: space-redundant ALUs with faults in "
                "all sites vs datapath-only (voter kept ideal)\n\n";
 

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   }
   const auto streams = paper_streams(2026);
   const std::vector<double> percents = {0.5, 1.0, 2.0, 3.0, 5.0, 9.0};
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
   const auto simulate = [&](const IAlu& alu, double pct) {
     SweepSpec spec;
     spec.percents = {pct};

@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
   // determinism cross-check in three other engine configurations.
   // ------------------------------------------------------------------
   const TrialEngine engines[] = {
-      TrialEngine{ParallelConfig{1, 0, 0, nullptr}},   // serial scalar (ref)
-      TrialEngine{ParallelConfig{1, 0, 64, nullptr}},  // serial, 64 lanes
-      TrialEngine{ParallelConfig{8, 0, 0, nullptr}},   // 8 threads, scalar
-      TrialEngine{ParallelConfig{8, 0, 64, nullptr}},  // 8 thr, 64 lanes
+      TrialEngine{ParallelConfig{.threads = 1}},  // serial scalar (ref)
+      TrialEngine{ParallelConfig{.threads = 1, .batch_lanes = 64}},
+      TrialEngine{ParallelConfig{.threads = 8}},  // 8 threads, scalar
+      TrialEngine{ParallelConfig{.threads = 8, .batch_lanes = 64}},
   };
   bool deterministic = true;
   const auto t0 = std::chrono::steady_clock::now();
@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
   // a cell. Not gated yet — the Hamming and Reed-Solomon readers' per-read
   // classification popcounts still cost alush and alusrs tens of percent.
   // ------------------------------------------------------------------
-  const TrialEngine wide_engine{ParallelConfig{1, 0, 512, nullptr}};
+  const TrialEngine wide_engine{
+      ParallelConfig{.threads = 1, .batch_lanes = 512}};
   SweepSpec wide_spec;
   wide_spec.trials_per_workload = 1024;
   wide_spec.seed = seed;

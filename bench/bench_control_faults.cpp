@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
       specs.push_back(std::move(spec));
     }
   }
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
   obs::ProgressReporter progress(std::cerr, "control faults", specs.size(),
                                  1);
   const std::vector<GridTrialResult> results =

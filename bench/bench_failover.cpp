@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   }
   Rng rng(11);
   const Bitmap image = Bitmap::random(16, 8, rng);  // 128 pixels on 3x3
-  const TrialEngine engine{ParallelConfig{cli.threads(), 0}};
+  const TrialEngine engine{ParallelConfig{.threads = cli.threads()}};
 
   std::cout << "Failover & salvage: killing cells mid-compute on a 3x3 "
                "grid (128 pixels, routers survive), "

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cli.seed(2026);
   // All hardware threads by default; per-trial counter-based seeding
   // keeps the output bit-identical to a serial run.
-  const ParallelConfig par{cli.threads(), 0};
+  const ParallelConfig par{.threads = cli.threads()};
   std::cout << "Reproducing " << spec.id << " — " << spec.title << "\n";
   std::cout << "Protocol: " << kPaperFaultPercentages.size()
             << " fault percentages x 2 workloads x " << trials

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                  "sink)\n";
     threads = 1;
   }
-  const TrialEngine engine{ParallelConfig{threads, 0}};
+  const TrialEngine engine{ParallelConfig{.threads = threads}};
 
   std::ofstream metrics_os;
   if (!metrics_out.empty()) {

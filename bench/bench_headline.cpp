@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const std::vector<double> percents = {0.5, 1.0, 1.5, 2.0, 2.5,
                                         3.0, 3.5, 4.0, 5.0};
   // Parallel engine, all hardware threads; bit-identical to serial.
-  const ParallelConfig par{cli.threads(), 0};
+  const ParallelConfig par{.threads = cli.threads()};
   const TrialEngine engine(par);
   SweepSpec sweep;
   sweep.percents = percents;

@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
 
     // Same-run scalar-engine baseline (batch_lanes = 0): the throughput
     // reference and the point every wide run must reproduce bit for bit.
-    const TrialEngine scalar_engine{ParallelConfig{1, 0}};
+    const TrialEngine scalar_engine{ParallelConfig{.threads = 1}};
     const Timed scalar =
         measure_tps(scalar_engine, *alu, streams, spec, repetitions);
     const double scalar_tps = scalar.tps;

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   const unsigned resolved = resolve_threads(threads);
 
   obs::Profiler profiler(/*capture_events=*/!trace_out.empty());
-  ParallelConfig par{threads, 0};
+  ParallelConfig par{.threads = threads};
   par.profiler = &profiler;
 
   SweepSpec spec;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     obs::ProgressReporter serial_progress(std::cerr, "serial sweep",
                                      names.size() * percents.size(),
                                      trials_per_point);
-    TrialEngine serial_engine{ParallelConfig{1, 0}};
+    TrialEngine serial_engine{ParallelConfig{.threads = 1}};
     if (want_progress) {
       serial_engine.set_on_point([&] { serial_progress.tick(); });
     }

@@ -120,7 +120,7 @@ void BM_GridTrials(benchmark::State& state) {
     spec.op = reverse_video_op();
   }
   const TrialEngine engine{
-      ParallelConfig{static_cast<unsigned>(state.range(0)), 0}};
+      ParallelConfig{.threads = static_cast<unsigned>(state.range(0))}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_grid_trials(engine, specs));
   }

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   cell.count_masked_faults = true;
   cell.error_threshold = 400;
 
-  const TrialEngine engine{ParallelConfig{threads, 0, 0, nullptr}};
+  const TrialEngine engine{ParallelConfig{.threads = threads}};
 
   std::cout << "Wafer study: " << wafers << " wafers per population, 3x3 "
             << "grids, TMR cells (" << logical_sites << " logical + "

@@ -580,6 +580,8 @@ std::optional<std::string> run_backend_case(const BackendCase& c) {
           base.points, scalar.sweep(*alu, streams, plain), plain_name)) {
     return msg;
   }
+  // Each tier twice: with the sink, and without it, where the readers
+  // decode only the addressed bit's share.
   for (const simd::SimdTier tier :
        {simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
         simd::SimdTier::kAvx512}) {
@@ -587,14 +589,19 @@ std::optional<std::string> run_backend_case(const BackendCase& c) {
       continue;
     }
     const simd::ScopedTierOverride forced(tier);
+    const std::string tier_name(simd::tier_name(tier));
     if (std::optional<std::string> msg = compare_anatomy(
             base, wide.sweep_anatomy(*alu, streams, spec),
-            "wide-" + std::string(simd::tier_name(tier)) + wide_at)) {
+            "wide-" + tier_name + wide_at)) {
+      return msg;
+    }
+    if (std::optional<std::string> msg = compare_points(
+            base.points, wide.sweep(*alu, streams, spec),
+            "wide-sweep-" + tier_name + wide_at)) {
       return msg;
     }
   }
-  return compare_points(base.points, wide.sweep(*alu, streams, spec),
-                        "wide-sweep" + wide_at);
+  return std::nullopt;
 }
 
 std::vector<BackendCase> shrink_backend_case(const BackendCase& c) {

@@ -15,7 +15,8 @@
 //       one at a time via simd::ScopedTierOverride, reproduces the
 //       baseline's points and anatomy counters (hence the tiers are
 //       pairwise identical); accounting is passive — a plain sweep gives
-//       the same points on either engine; a non-default but
+//       the same points on the scalar engine and on every tier of the
+//       wide engine; a non-default but
 //       i.i.d.-degenerate scenario reproduces the default-scenario sweep
 //       bitwise; and a case with a schedule or a burst obeys the
 //       generator laws directly: schedule anchored at the base rate,

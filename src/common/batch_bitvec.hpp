@@ -11,7 +11,7 @@
 // transpose (site-packed, one trial); extracting a lane of a BatchBitVec
 // yields exactly the BitVec that trial would have seen, which is what
 // makes the batched engine bit-identical to the scalar one (see
-// tests/sim/batch_differential_test.cpp).
+// tests/check/backend_table_test.cpp).
 #pragma once
 
 #include <cassert>

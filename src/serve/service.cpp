@@ -9,6 +9,7 @@
 #include "alu/alu_factory.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
+#include "workload/image_ops.hpp"
 
 namespace nbx::serve {
 
@@ -20,6 +21,17 @@ double elapsed_us(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
 }
+
+// Admission budget: the most sweep items (percents x workloads x trials)
+// one request may ask for. compute() holds a sample (8 B) and an
+// obs::Counters (392 B) per item until the fold, so 2^18 items cap one
+// admitted job at ~105 MB (2^18 x 400 B), well under 1 GiB. The largest
+// request the repo's own clients send is bench_serve's, 2 percents x 2
+// workloads x 256 trials = 1,024 items, 256x under the cap (perfbench's
+// serve_mix sends 192, nbxq's default 10, serve-differential at most
+// 18). The wire limits alone (64 percents x 10^6 trials) would admit
+// 1.28 x 10^8 items, ~50 GB of counters.
+constexpr std::size_t kMaxSweepItems = std::size_t{1} << 18;
 
 }  // namespace
 
@@ -90,6 +102,16 @@ bool SweepService::validate(const SweepRequest& req,
   }
   if (req.spec.percents.empty()) {
     *error = "empty percents";
+    return false;
+  }
+  const std::size_t items = req.spec.percents.size() *
+                            paper_workloads().size() *
+                            static_cast<std::size_t>(
+                                req.spec.trials_per_workload);
+  if (items > kMaxSweepItems) {
+    *error = "spec asks for " + std::to_string(items) +
+             " sweep items (percents x workloads x trials), over the "
+             "admission budget of " + std::to_string(kMaxSweepItems);
     return false;
   }
   return true;

@@ -23,6 +23,8 @@
 // Admission control bounds the compute queue: when it is full, new
 // unique specs are shed with a structured retry-after response (cache
 // hits and coalesced duplicates are never shed — they cost no compute).
+// It also bounds one job: a spec over the fixed sweep-item budget
+// (service.cpp) gets a status:"error" response instead of a compute.
 // All decisions are observable via ServiceStats (always on, atomics) and
 // obs::MetricsRegistry (when installed; nbxd_* series, see
 // docs/SERVING.md).

@@ -31,10 +31,15 @@ TrialResult run_trial(const IAlu& alu,
                           cfg.burst_length, cfg.burst_rows,
                           cfg.burst_row_stride);
 
-  // Per-worker scalar arena: generate() clears/resizes as needed, so a
-  // steady-state trial over the same ALU allocates nothing (the scalar
-  // analogue of the wide backend's WideArena; see
-  // tests/audit/alloc_audit_test.cpp).
+  // Per-worker scalar mask arena: generate() clears/resizes as needed,
+  // so the masks of a steady-state trial over the same ALU allocate
+  // nothing. The evaluation does allocate: the coded-LUT readers copy
+  // their BitVecs on every read (20,160 allocations per alush,
+  // alushsiao or alusrs trial), and Netlist::evaluate returns a fresh
+  // node vector per call (256 per aluscmos trial, 2,048 per alunhw
+  // trial). TMR and uncoded LUT ALUs allocate nothing. Only the wide
+  // backend's WideArena is audited allocation-free
+  // (tests/audit/alloc_audit_test.cpp).
   thread_local BitVec mask;
   thread_local BitVec scratch;
   if (mask.size() != total_sites) {

@@ -6,7 +6,7 @@
 // (threads x batch_lanes x anatomy-sink x profiler x progress)
 // composition exactly once:
 //
-//   * `threads` / `chunking` — how work items fan out over the pool;
+//   * `threads`              — how work items fan out over the pool;
 //   * `batch_lanes`          — scalar IAlu trials vs the SIMD-wide lane
 //                              engine (src/simd/; 0 = scalar);
 //   * anatomy                — the sweep_anatomy/point_anatomy variants
@@ -94,7 +94,6 @@ TrialResult run_trial(const IAlu& alu,
 struct ParallelConfig {
   unsigned threads = 1;   ///< total worker threads; 1 = serial, 0 = all
                           ///< hardware threads
-  std::size_t chunking = 0;  ///< trials per work unit; 0 = auto
   /// Trials packed per bit-parallel batch (see src/simd/):
   /// 0 = scalar engine (default); 1..512 = SIMD-wide lane engine with
   /// that many lanes per group (rounded up internally to a whole
@@ -240,7 +239,7 @@ class TrialEngine {
         run(i);
       }
     } else {
-      pool_->parallel_for(total, par_.chunking, run);
+      pool_->parallel_for(total, 0, run);
     }
   }
 

@@ -110,9 +110,9 @@ std::vector<GridTrialSpec> accuracy_specs() {
 TEST(GridTrials, MultiCellSweepIsBitIdenticalAcrossThreads) {
   const auto specs = accuracy_specs();
   const auto serial =
-      run_grid_trials(TrialEngine{ParallelConfig{1, 0}}, specs);
+      run_grid_trials(TrialEngine{ParallelConfig{.threads = 1}}, specs);
   const auto threaded =
-      run_grid_trials(TrialEngine{ParallelConfig{8, 0}}, specs);
+      run_grid_trials(TrialEngine{ParallelConfig{.threads = 8}}, specs);
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(threaded.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -134,8 +134,8 @@ TEST(GridTrials, MultiCellSweepGoldenIsPinned) {
   // Registry entries captured from the configuration above; a deliberate
   // reseeding must re-pin tests/goldens.hpp and say so in the PR
   // description.
-  const auto results =
-      run_grid_trials(TrialEngine{ParallelConfig{8, 0}}, accuracy_specs());
+  const auto results = run_grid_trials(
+      TrialEngine{ParallelConfig{.threads = 8}}, accuracy_specs());
   ASSERT_EQ(results.size(), goldens::kMultiCellTmrSweepSize);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].report.percent_correct,
@@ -150,8 +150,8 @@ TEST(GridTrials, MultiCellSweepGoldenIsPinned) {
 TEST(GridTrials, ProgressTicksOncePerTrial) {
   std::ostringstream os;
   obs::ProgressReporter progress(os, "grid", 3, 1);
-  const auto results = run_grid_trials(TrialEngine{ParallelConfig{2, 0}},
-                                       accuracy_specs(), &progress);
+  const auto results = run_grid_trials(
+      TrialEngine{ParallelConfig{.threads = 2}}, accuracy_specs(), &progress);
   EXPECT_EQ(results.size(), 3u);
   EXPECT_EQ(progress.done(), 3u);
 }

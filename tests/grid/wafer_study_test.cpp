@@ -1,5 +1,5 @@
-// wafer_study_test.cpp — the wafer-scale defect Monte Carlo (WaferSmoke
-// is also a named tier-1 ctest entry, `wafer_smoke`). A small
+// wafer_study_test.cpp — the wafer-scale defect Monte Carlo (run just
+// this slice with `ctest -R '^WaferSmoke\.'`). A small
 // manufactured-wafer population runs through the full control-processor
 // / watchdog failover machinery twice from the same manufacture seeds —
 // oblivious vs defect-aware placement — and must reproduce the pinned

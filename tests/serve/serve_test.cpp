@@ -9,7 +9,9 @@
 //   * each unique fingerprint is computed exactly once — duplicates are
 //     cache hits or coalesced followers, never second computations;
 //   * a full queue sheds with a structured retry-after response instead
-//     of blocking or crashing;
+//     of blocking or crashing, and a spec over the sweep-item budget
+//     gets a structured error instead of a compute;
+//   * every response kind keeps its pinned key sequence (WireSchema);
 //   * malformed frames (garbage payloads, zero-length and oversized
 //     headers) get structured errors — the connection may close, the
 //     daemon never dies;
@@ -367,6 +369,197 @@ TEST(ServeSmoke, CacheSurvivesReconnectsWithinOneDaemon) {
   EXPECT_EQ(stats.jobs_computed, 1u);
   EXPECT_EQ(stats.hits, 1u);
   server.stop();
+}
+
+TEST(ServeAdmission, OverBudgetSpecIsRefusedAndTheServiceStillAnswers) {
+  // The widest spec the wire accepts: 64 percents x 10^6 trials, 1.28 x
+  // 10^8 sweep items. Its per-item counters alone would need ~50 GB, so
+  // admission must refuse it before any compute is queued.
+  SweepRequest huge = small_request(3);
+  huge.spec.percents.clear();
+  for (int i = 0; i < 64; ++i) {
+    huge.spec.percents.push_back(0.25 * i);
+  }
+  huge.spec.trials_per_workload = 1'000'000;
+  SweepService service(ServiceConfig{});
+  std::string out;
+  const auto start = std::chrono::steady_clock::now();
+  service.handle(render_sweep_request(huge), out);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(status_of(out), "error") << out;
+  EXPECT_NE(out.find("admission budget"), std::string::npos) << out;
+  EXPECT_LT(seconds, 0.5);
+  EXPECT_EQ(service.stats().jobs_computed, 0u);
+  EXPECT_EQ(service.stats().errors, 1u);
+
+  out.clear();
+  service.handle(render_sweep_request(small_request(3)), out);
+  EXPECT_EQ(status_of(out), "ok") << out;
+  EXPECT_EQ(service.stats().jobs_computed, 1u);
+}
+
+// Every object key of a response, in document order; nested keys as
+// "parent.key", array elements as "parent[].key".
+void collect_keys(const check::JsonValue& v, const std::string& prefix,
+                  std::vector<std::string>& keys) {
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.members()) {
+      keys.push_back(prefix + key);
+      collect_keys(member, prefix + key + ".", keys);
+    }
+  } else if (v.is_array()) {
+    const std::string element =
+        prefix.substr(0, prefix.size() - 1) + "[].";
+    for (const check::JsonValue& item : v.items()) {
+      collect_keys(item, element, keys);
+    }
+  }
+}
+
+std::string key_sequence(const std::string& response) {
+  const auto doc = check::JsonValue::parse(response);
+  if (!doc.has_value()) {
+    return "<not JSON: " + response + ">";
+  }
+  std::vector<std::string> keys;
+  collect_keys(*doc, "", keys);
+  std::string joined;
+  for (const std::string& k : keys) {
+    joined += k + "\n";
+  }
+  return joined;
+}
+
+// Brittle on purpose. If a response's keys change, clients that parse
+// the old shape break: bump kWireVersion in src/serve/wire.hpp (which
+// also moves every request fingerprint, so no cached body outlives the
+// schema), then re-pin the sequences below.
+constexpr const char* kOkKeys =
+    "nbxd\n"
+    "status\n"
+    "fingerprint\n"
+    "alu\n"
+    "points\n"
+    "points[].fault_percent\n"
+    "points[].mean_percent_correct\n"
+    "points[].stddev\n"
+    "points[].ci95\n"
+    "points[].samples\n"
+    "anatomy\n"
+    "anatomy[].injection\n"
+    "anatomy[].injection.masks_generated\n"
+    "anatomy[].injection.faults_injected\n"
+    "anatomy[].code\n"
+    "anatomy[].code.hamming\n"
+    "anatomy[].code.hamming.reads\n"
+    "anatomy[].code.hamming.clean\n"
+    "anatomy[].code.hamming.corrected\n"
+    "anatomy[].code.hamming.miscorrected\n"
+    "anatomy[].code.hamming.detected_uncorrectable\n"
+    "anatomy[].code.hamming.false_positive\n"
+    "anatomy[].code.hamming.undetected\n"
+    "anatomy[].code.hsiao\n"
+    "anatomy[].code.hsiao.reads\n"
+    "anatomy[].code.hsiao.clean\n"
+    "anatomy[].code.hsiao.corrected\n"
+    "anatomy[].code.hsiao.miscorrected\n"
+    "anatomy[].code.hsiao.detected_uncorrectable\n"
+    "anatomy[].code.hsiao.false_positive\n"
+    "anatomy[].code.hsiao.undetected\n"
+    "anatomy[].code.rs\n"
+    "anatomy[].code.rs.reads\n"
+    "anatomy[].code.rs.clean\n"
+    "anatomy[].code.rs.corrected\n"
+    "anatomy[].code.rs.miscorrected\n"
+    "anatomy[].code.rs.detected_uncorrectable\n"
+    "anatomy[].code.rs.false_positive\n"
+    "anatomy[].code.rs.undetected\n"
+    "anatomy[].code.tmr\n"
+    "anatomy[].code.tmr.reads\n"
+    "anatomy[].code.tmr.clean\n"
+    "anatomy[].code.tmr.corrected\n"
+    "anatomy[].code.tmr.miscorrected\n"
+    "anatomy[].code.tmr.detected_uncorrectable\n"
+    "anatomy[].code.tmr.false_positive\n"
+    "anatomy[].code.tmr.undetected\n"
+    "anatomy[].code.parity\n"
+    "anatomy[].code.parity.reads\n"
+    "anatomy[].code.parity.clean\n"
+    "anatomy[].code.parity.corrected\n"
+    "anatomy[].code.parity.miscorrected\n"
+    "anatomy[].code.parity.detected_uncorrectable\n"
+    "anatomy[].code.parity.false_positive\n"
+    "anatomy[].code.parity.undetected\n"
+    "anatomy[].module\n"
+    "anatomy[].module.votes\n"
+    "anatomy[].module.copies_outvoted\n"
+    "anatomy[].module.voter_self_faults\n"
+    "anatomy[].module.storage_faults\n"
+    "anatomy[].e2e\n"
+    "anatomy[].e2e.instructions\n"
+    "anatomy[].e2e.correct\n"
+    "anatomy[].e2e.silent_corruptions\n"
+    "anatomy[].e2e.caught_errors\n"
+    "anatomy[].e2e.false_alarms\n"
+    "anatomy[].scenario\n"
+    "anatomy[].scenario.scheduled_trials\n"
+    "anatomy[].scenario.wear_adjusted_trials\n"
+    "anatomy[].scenario.burst_strikes\n";
+constexpr const char* kErrorKeys = "nbxd\nstatus\nerror\n";
+constexpr const char* kShedKeys = "nbxd\nstatus\nretry_after_ms\n";
+constexpr const char* kPongKeys = "nbxd\nstatus\nkind\n";
+constexpr const char* kStatsKeys =
+    "nbxd\n"
+    "status\n"
+    "kind\n"
+    "requests\n"
+    "hits\n"
+    "misses\n"
+    "coalesced\n"
+    "shed\n"
+    "errors\n"
+    "jobs_computed\n"
+    "shards_executed\n"
+    "pings\n"
+    "stats_requests\n"
+    "queue_depth\n"
+    "cache_entries\n";
+
+TEST(WireSchema, ResponseKeySequencesArePinned) {
+  const char* const bump =
+      "the nbxd response schema changed: bump kWireVersion in "
+      "src/serve/wire.hpp, then re-pin these key sequences";
+  EXPECT_EQ(kWireVersion, 1u) << "re-pin the key sequences below for the "
+                                 "new wire version";
+  SweepService service(ServiceConfig{});
+  std::string out;
+  service.handle(render_sweep_request(small_request(11, 1)), out);
+  EXPECT_EQ(key_sequence(out), kOkKeys) << bump << "\nok response: " << out;
+
+  out.clear();
+  service.handle("not json", out);
+  EXPECT_EQ(key_sequence(out), kErrorKeys)
+      << bump << "\nerror response: " << out;
+
+  out.clear();
+  service.handle(render_ping_request(), out);
+  EXPECT_EQ(key_sequence(out), kPongKeys)
+      << bump << "\npong response: " << out;
+
+  out.clear();
+  service.handle(render_stats_request(), out);
+  EXPECT_EQ(key_sequence(out), kStatsKeys)
+      << bump << "\nstats response: " << out;
+
+  ServiceConfig shedding;
+  shedding.max_queue = 0;
+  SweepService full(shedding);
+  out.clear();
+  full.handle(render_sweep_request(small_request(12)), out);
+  EXPECT_EQ(key_sequence(out), kShedKeys)
+      << bump << "\nshed response: " << out;
 }
 
 // Lines of /proc/self/maps: one per mapping this process holds. A

@@ -1,14 +1,14 @@
-// parallel_determinism_test.cpp — the lockdown for the parallel sweep
-// engine: whatever the thread count or chunking, TrialEngine::sweep and
-// TrialEngine::point must produce bit-identical DataPoints to the serial
-// path. Any change that threads RNG state between trials, reorders the
-// statistics fold, or races on shared buffers fails here.
+// parallel_determinism_test.cpp — the parallel sweep engine's contracts
+// that a single backend-differential case cannot state: a sweep point
+// equals the same percent evaluated alone, a figure run is thread-count
+// invariant, and one engine shared by concurrent callers reproduces the
+// serial sweep. (Thread-count invariance of sweeps, points and counters
+// on every backend is the pinned backend table's, tests/check/.)
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "alu/alu_factory.hpp"
-#include "fault/sweep.hpp"
 #include "sim/experiment.hpp"
 #include "sim/figure.hpp"
 
@@ -30,53 +30,6 @@ void expect_identical(const std::vector<DataPoint>& a,
     EXPECT_EQ(a[i].ci95, b[i].ci95) << label << " point " << i;
     EXPECT_EQ(a[i].samples, b[i].samples) << label << " point " << i;
   }
-}
-
-TEST(ParallelDeterminism, SweepIsThreadCountInvariant) {
-  const auto streams = paper_streams();
-  const std::vector<double> percents = smoke_sweep();
-  for (const char* name : {"alunn", "aluss"}) {
-    const auto alu = make_alu(name);
-    const SweepSpec spec{
-        .percents = percents, .trials_per_workload = 3, .seed = 99};
-    const auto serial = TrialEngine{}.sweep(*alu, streams, spec);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const ParallelConfig par{threads, 0};
-      const auto parallel = TrialEngine{par}.sweep(*alu, streams, spec);
-      expect_identical(serial, parallel,
-                       std::string(name) + " @ " +
-                           std::to_string(threads) + " threads");
-    }
-  }
-}
-
-TEST(ParallelDeterminism, ChunkingDoesNotChangeResults) {
-  const auto alu = make_alu("aluns");
-  const auto streams = paper_streams();
-  const std::vector<double> percents = {1.0, 5.0};
-  const SweepSpec spec{
-      .percents = percents, .trials_per_workload = 4, .seed = 7};
-  const auto serial = TrialEngine{}.sweep(*alu, streams, spec);
-  for (const std::size_t chunk : {1u, 3u, 100u}) {
-    const ParallelConfig par{4, chunk};
-    const auto parallel = TrialEngine{par}.sweep(*alu, streams, spec);
-    expect_identical(serial, parallel,
-                     "chunk " + std::to_string(chunk));
-  }
-}
-
-TEST(ParallelDeterminism, DataPointMatchesSerial) {
-  const auto alu = make_alu("alunh");
-  const auto streams = paper_streams();
-  const SweepSpec spec{
-      .percents = {3.0}, .trials_per_workload = 5, .seed = 42};
-  const DataPoint serial = TrialEngine{}.point(*alu, streams, spec);
-  const ParallelConfig par{8, 1};
-  const DataPoint parallel = TrialEngine{par}.point(*alu, streams, spec);
-  EXPECT_EQ(serial.mean_percent_correct, parallel.mean_percent_correct);
-  EXPECT_EQ(serial.stddev, parallel.stddev);
-  EXPECT_EQ(serial.ci95, parallel.ci95);
-  EXPECT_EQ(serial.samples, parallel.samples);
 }
 
 TEST(ParallelDeterminism, SweepPointEqualsStandaloneDataPoint) {
@@ -103,7 +56,8 @@ TEST(ParallelDeterminism, RunFigureParallelMatchesSerial) {
   const std::vector<double> percents = {0.0, 3.0};
   const FigureResult serial = run_figure(figure7_spec(), percents, 2, 5);
   const FigureResult parallel =
-      run_figure(figure7_spec(), percents, 2, 5, ParallelConfig{8, 0});
+      run_figure(figure7_spec(), percents, 2, 5,
+                 ParallelConfig{.threads = 8});
   ASSERT_EQ(serial.series.size(), parallel.series.size());
   for (std::size_t s = 0; s < serial.series.size(); ++s) {
     expect_identical(serial.series[s], parallel.series[s],
@@ -122,8 +76,10 @@ TEST(ParallelDeterminism, OneEngineSharedAcrossCallersMatchesSerial) {
       .percents = {1.0, 4.0}, .trials_per_workload = 70, .seed = 5};
   for (const unsigned lanes : {0u, 64u}) {
     const auto serial =
-        TrialEngine{ParallelConfig{1, 0, lanes}}.sweep(*alu, streams, spec);
-    const TrialEngine engine(ParallelConfig{2, 0, lanes});
+        TrialEngine{ParallelConfig{.threads = 1, .batch_lanes = lanes}}.sweep(
+            *alu, streams, spec);
+    const TrialEngine engine(
+        ParallelConfig{.threads = 2, .batch_lanes = lanes});
     std::vector<std::vector<DataPoint>> got(4);
     std::vector<std::thread> callers;
     for (std::size_t c = 0; c < got.size(); ++c) {

@@ -55,7 +55,7 @@ TEST(SeedGolden, ParallelPathReproducesTheGoldenPoint) {
   // serial fold.
   const auto alu = make_alu(kRef.alu);
   const auto streams = paper_streams(kRef.seed);
-  const DataPoint p = TrialEngine{ParallelConfig{4, 0}}.point(
+  const DataPoint p = TrialEngine{ParallelConfig{.threads = 4}}.point(
       *alu, streams,
       {.percents = {kRef.fault_percent},
        .trials_per_workload = kRef.trials_per_workload, .seed = kRef.seed});

@@ -3,29 +3,22 @@
 // The wide lane engine compiles its kernels once per dispatch tier
 // (scalar / AVX2 / AVX-512) and picks one at runtime; the contract is
 // that the pick is invisible in every number. These tests pin the tier
-// two ways — the NBX_SIMD_TIER environment variable (the user-facing
-// knob) for the seed golden, simd::ScopedTierOverride (the programmatic
-// knob) for the decode-coverage differential — and require:
+// through the NBX_SIMD_TIER environment variable (the user-facing knob)
+// or simd::ScopedTierOverride (the programmatic one) and require:
 //
 //   * the batched seed golden (aluss @ 2%, seed 2026, 5 trials =
 //     98.90625) holds verbatim on every tier, at one lane word (64), the
 //     full eight-word width (512), and ragged lane counts whose groups
 //     end in a partial lockstep mask block (1, 7, 9, 63, 65, 257, 511);
-//   * every catalogued ALU — covering every decode path: uncoded,
-//     Hamming, TMR, Hsiao, ideal-Hamming, interleaved TMR,
-//     Reed-Solomon, the gate-level TMR read path and the CMOS netlist —
-//     produces DataPoints and anatomy counters bit-identical to the
-//     scalar trial engine under every tier, at one full lane word (64)
-//     and a ragged two-word group (96), at 2% and at a dense 25% whose
-//     masks put several flips into most LUT segments;
-//   * the TMR, naive-Hamming, Hsiao and Reed-Solomon LUT ALUs match it
-//     too where lane words diverge independently (130 trials per
-//     workload in 256- and 512-lane groups at 2%), sink on and off;
 //   * the structural mirror evaluates every catalogued ALU word-parallel,
 //     the gate-level TMR read paths as one shared netlist per hw core,
 //     and refuses a structure it does not know;
 //   * those gate-level reads are bit-identical to the scalar engine in a
 //     group that spills past the first 64-lane word, on every tier.
+//
+// That every catalogued ALU decodes like the scalar engine on every
+// tier and lane-word width, sink on and off, is the pinned backend
+// table's (tests/check/backend_table_test.cpp).
 //
 // Tiers the binary or the CPU cannot run are GTEST_SKIPped (visible in
 // the log), never silently passed: a green run on an AVX-512 machine
@@ -124,131 +117,24 @@ TEST(SimdTier, Avx512TierReproducesSeedGolden) {
   run_forced_tier_golden(simd::SimdTier::kAvx512);
 }
 
-// Point-for-point equality with the scalar trial engine's sweep.
-void expect_same_points(const std::vector<DataPoint>& base,
-                        const std::vector<DataPoint>& wide,
-                        const SweepSpec& spec, const std::string& where) {
-  ASSERT_EQ(wide.size(), base.size()) << where;
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(wide[i].mean_percent_correct, base[i].mean_percent_correct)
-        << where << " percent=" << spec.percents[i];
-    EXPECT_EQ(wide[i].stddev, base[i].stddev) << where;
-    EXPECT_EQ(wide[i].ci95, base[i].ci95) << where;
-    EXPECT_EQ(wide[i].samples, base[i].samples) << where;
-  }
-}
-
-// ... and counter-for-counter.
+// Point-for-point and counter-for-counter equality with the scalar
+// trial engine's anatomy sweep.
 void expect_same_anatomy(const SweepAnatomy& base, const SweepAnatomy& wide,
                          const SweepSpec& spec, const std::string& where) {
-  expect_same_points(base.points, wide.points, spec, where);
+  ASSERT_EQ(wide.points.size(), base.points.size()) << where;
   ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << where;
-  for (std::size_t i = 0; i < base.metrics.size(); ++i) {
+  for (std::size_t i = 0; i < base.points.size(); ++i) {
+    const std::string at = where + " percent=" +
+                           std::to_string(spec.percents[i]);
+    EXPECT_EQ(wide.points[i].mean_percent_correct,
+              base.points[i].mean_percent_correct)
+        << at;
+    EXPECT_EQ(wide.points[i].stddev, base.points[i].stddev) << at;
+    EXPECT_EQ(wide.points[i].ci95, base.points[i].ci95) << at;
+    EXPECT_EQ(wide.points[i].samples, base.points[i].samples) << at;
     EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
-        << where << " percent=" << spec.percents[i] << ": anatomy diverged";
+        << at << ": anatomy diverged";
   }
-}
-
-// Every catalogued ALU — every bit-level decode path and both module
-// organisations — run through the wide engine under a forced tier must
-// match the scalar trial engine point-for-point and counter-for-counter.
-void run_decode_coverage(simd::SimdTier tier) {
-  if (!simd::tier_supported(tier)) {
-    GTEST_SKIP() << "tier '" << simd::tier_name(tier)
-                 << "' not compiled in or not supported by this CPU";
-  }
-  SweepSpec spec;
-  spec.percents = {2.0, 25.0};
-  spec.trials_per_workload = 2;
-  spec.seed = 20260808;
-  const auto streams = paper_streams(spec.seed);
-
-  const simd::ScopedTierOverride forced(tier);
-  for (const AluSpec& s : all_specs()) {
-    const auto alu = make_alu(s.name);
-    ASSERT_NE(alu, nullptr) << s.name;
-
-    ParallelConfig scalar_cfg;  // batch_lanes = 0: the scalar oracle
-    const SweepAnatomy base =
-        TrialEngine(scalar_cfg).sweep_anatomy(*alu, streams, spec);
-
-    // Every lane-word width W = 1, 2, 4, 8: one full word, a ragged
-    // two-word group (64 + 32 lanes), and full 256- and 512-lane rows. A
-    // miscompile can be specific to one width.
-    for (const unsigned lanes : {64u, 96u, 256u, 512u}) {
-      ParallelConfig wide_cfg;
-      wide_cfg.batch_lanes = lanes;
-      const SweepAnatomy wide =
-          TrialEngine(wide_cfg).sweep_anatomy(*alu, streams, spec);
-      expect_same_anatomy(base, wide, spec,
-                          s.name + " lanes=" + std::to_string(lanes) +
-                              " tier=" + std::string(simd::tier_name(tier)));
-    }
-  }
-}
-
-TEST(SimdTier, ScalarTierDecodesEveryAluLikeTheScalarEngine) {
-  run_decode_coverage(simd::SimdTier::kScalar);
-}
-
-TEST(SimdTier, Avx2TierDecodesEveryAluLikeTheScalarEngine) {
-  run_decode_coverage(simd::SimdTier::kAvx2);
-}
-
-TEST(SimdTier, Avx512TierDecodesEveryAluLikeTheScalarEngine) {
-  run_decode_coverage(simd::SimdTier::kAvx512);
-}
-
-// The decode coverage above runs 2 trials per workload, so every live
-// lane sits in lane word 0. Here 130 trials fill words 0-2 of a 256- and
-// a 512-lane group, and at 2% each word's carries, copy results and
-// syndromes diverge on their own: a kernel that judged a mux selector
-// row uniform from one lane word, or skipped decoding a leaf another
-// word's lanes address, matches the scalar engine there and fails here.
-// The points are checked with the sink off too: the readers decode only
-// the addressed bit's share then, and everything with the sink on.
-void run_cross_word_divergence(simd::SimdTier tier) {
-  if (!simd::tier_supported(tier)) {
-    GTEST_SKIP() << "tier '" << simd::tier_name(tier)
-                 << "' not compiled in or not supported by this CPU";
-  }
-  SweepSpec spec;
-  spec.percents = {2.0};
-  spec.trials_per_workload = 130;
-  spec.seed = 20261017;
-  const auto streams = paper_streams(spec.seed);
-
-  const simd::ScopedTierOverride forced(tier);
-  // TMR, naive Hamming, Hsiao and Reed-Solomon LUT cores.
-  for (const std::string name : {"aluss", "alush", "alushsiao", "alusrs"}) {
-    const auto alu = make_alu(name);
-    ASSERT_NE(alu, nullptr) << name;
-    const SweepAnatomy base =
-        TrialEngine(ParallelConfig{}).sweep_anatomy(*alu, streams, spec);
-    for (const unsigned lanes : {256u, 512u}) {
-      ParallelConfig wide_cfg;
-      wide_cfg.batch_lanes = lanes;
-      const TrialEngine wide(wide_cfg);
-      const std::string where = name + " lanes=" + std::to_string(lanes) +
-                                " tier=" + std::string(simd::tier_name(tier));
-      expect_same_anatomy(base, wide.sweep_anatomy(*alu, streams, spec),
-                          spec, where);
-      expect_same_points(base.points, wide.sweep(*alu, streams, spec), spec,
-                         where + " sink off");
-    }
-  }
-}
-
-TEST(SimdTier, ScalarTierMatchesWhereLaneWordsDiverge) {
-  run_cross_word_divergence(simd::SimdTier::kScalar);
-}
-
-TEST(SimdTier, Avx2TierMatchesWhereLaneWordsDiverge) {
-  run_cross_word_divergence(simd::SimdTier::kAvx2);
-}
-
-TEST(SimdTier, Avx512TierMatchesWhereLaneWordsDiverge) {
-  run_cross_word_divergence(simd::SimdTier::kAvx512);
 }
 
 // Fault sites the mirror's mask segments cover: its cores, its voter,
@@ -323,9 +209,9 @@ TEST(SimdTier, GateLevelMirrorLanesSpanTwoLaneWords) {
   // 65 trials in a 96-lane row: each workload's group puts its last
   // trial in lane 64, the first lane of the second word, so the hw
   // cores' netlist reads must fault, carry and score across the word
-  // boundary. The generated backend-differential cases keep the hw ALUs
-  // inside one word (the scalar oracle takes milliseconds per trial), so
-  // this is their multi-word coverage.
+  // boundary. The backend-differential cases keep the hw ALUs inside
+  // one word (the scalar oracle takes milliseconds per trial), so this
+  // is their multi-word coverage.
   SweepSpec spec;
   spec.percents = {1.0};
   spec.trials_per_workload = 65;
