@@ -1,5 +1,6 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -44,6 +45,22 @@ bool BitVec::any() const {
     if (w != 0) {
       return true;
     }
+  }
+  return false;
+}
+
+bool BitVec::any_in(std::size_t lo, std::size_t n) const {
+  assert(lo + n <= size_);
+  for (std::size_t i = lo, end = lo + n; i < end;) {
+    const std::size_t bit = i & 63;
+    const std::size_t take = std::min<std::size_t>(64 - bit, end - i);
+    const std::uint64_t m =
+        (take == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << take) - 1)
+        << bit;
+    if ((words_[i >> 6] & m) != 0) {
+      return true;
+    }
+    i += take;
   }
   return false;
 }

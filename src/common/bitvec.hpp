@@ -63,6 +63,9 @@ class BitVec {
   /// True if any bit is set.
   [[nodiscard]] bool any() const;
 
+  /// True if any bit in [lo, lo+n) is set; a word at a time.
+  [[nodiscard]] bool any_in(std::size_t lo, std::size_t n) const;
+
   /// Equality compares size and every bit.
   friend bool operator==(const BitVec& a, const BitVec& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -18,19 +17,21 @@
 namespace nbx {
 
 /// One xoshiro256** 1.0 step on a bare state: returns the output and
-/// advances (s0, s1, s2, s3). Rng::next() is this on its own state; the
-/// wide engine runs it over arrays of lane states, where a loop over
-/// lanes vectorizes.
-inline std::uint64_t xoshiro256ss_step(std::uint64_t& s0, std::uint64_t& s1,
-                                       std::uint64_t& s2, std::uint64_t& s3) {
-  const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
-  const std::uint64_t t = s1 << 17;
+/// advances (s0, s1, s2, s3). `Word` is std::uint64_t, or a GCC vector of
+/// them holding one state per element: Rng::next() is this on its own
+/// state, and the wide engine runs it on vector registers of lane states.
+template <class Word>
+inline Word xoshiro256ss_step(Word& s0, Word& s1, Word& s2, Word& s3) {
+  // std::rotl takes no vectors; GCC turns this into rol, or vprolq.
+  const auto rotl = [](Word x, int r) { return (x << r) | (x >> (64 - r)); };
+  const Word result = rotl(s1 * 5, 7) * 9;
+  const Word t = s1 << 17;
   s2 ^= s0;
   s3 ^= s1;
   s1 ^= s2;
   s0 ^= s3;
   s2 ^= t;
-  s3 = std::rotl(s3, 45);
+  s3 = rotl(s3, 45);
   return result;
 }
 
@@ -80,15 +81,6 @@ class Rng {
     return high;
   }
 
-  /// The rare tail of below(bound): given the first draw's 128-bit
-  /// product x * bound split into (high, low) with low < bound, runs
-  /// Lemire's rejection loop on this generator and returns the accepted
-  /// value. Callers that draw the first value themselves (the wide
-  /// engine steps many lanes' generators in lockstep) hand it over here,
-  /// so every lane still consumes exactly below()'s draws.
-  std::uint64_t below_finish(std::uint64_t bound, std::uint64_t low,
-                             std::uint64_t high);
-
   /// The raw xoshiro256** state, and its inverse: a generator whose
   /// state is set to another's state() draws the same sequence. split()
   /// derives children from the construction seed, not from this state.
@@ -119,6 +111,13 @@ class Rng {
                                                         std::uint64_t k);
 
  private:
+  /// The rare tail of below(bound), out of line so that below() inlines
+  /// small: given the first draw's 128-bit product x * bound split into
+  /// (high, low) with low < bound, runs Lemire's rejection loop on this
+  /// generator and returns the accepted value.
+  std::uint64_t below_finish(std::uint64_t bound, std::uint64_t low,
+                             std::uint64_t high);
+
   std::uint64_t s_[4];
   std::uint64_t seed_;  // retained so split() can derive child seeds
 };

@@ -40,6 +40,11 @@ class MaskView {
     return {*mask_, offset_ + off, len};
   }
 
+  /// True if any bit of the window is set (false for null views).
+  [[nodiscard]] bool any() const {
+    return mask_ != nullptr && mask_->any_in(offset_, length_);
+  }
+
   /// Number of set bits in the window (0 for null views).
   [[nodiscard]] std::size_t popcount() const {
     if (mask_ == nullptr) {

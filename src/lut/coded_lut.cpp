@@ -9,6 +9,16 @@
 
 namespace nbx {
 
+namespace {
+
+/// The scalar decoders' working copies of a LUT's stored strings, one
+/// pair per thread: a faulted read overlays its mask on them, so reads
+/// stop allocating once these have grown to the largest LUT.
+thread_local BitVec t_data;
+thread_local BitVec t_checks;
+
+}  // namespace
+
 obs::CodeLayerCounters* code_layer_of(obs::Counters* sink, LutCoding coding) {
   if (sink == nullptr) {
     return nullptr;
@@ -151,6 +161,40 @@ bool CodedLut::read(std::uint32_t addr, MaskView mask,
   return false;
 }
 
+bool CodedLut::read_unfaulted(std::uint32_t addr,
+                              LutAccessStats* stats) const {
+  // An unfaulted codeword has a zero syndrome, which every decoder reads
+  // as clean: the stored table, nothing repaired.
+  if (stats != nullptr) {
+    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
+      ++oc->reads;
+      ++oc->clean;
+    }
+  }
+  return tt_.get(addr);
+}
+
+std::size_t CodedLut::load_faulted(MaskView mask, BitVec& data,
+                                   BitVec& checks) const {
+  const std::size_t n = tt_.size();
+  std::size_t flips = 0;
+  data = tt_;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask.get(i)) {
+      data.flip(i);
+      ++flips;
+    }
+  }
+  checks = checks_;
+  for (std::size_t i = 0; i < checks_.size(); ++i) {
+    if (mask.get(n + i)) {
+      checks.flip(i);
+      ++flips;
+    }
+  }
+  return flips;
+}
+
 bool CodedLut::read_none(std::uint32_t addr, MaskView mask) const {
   // Only the addressed bit is exposed; faults elsewhere are invisible.
   return tt_.get(addr) ^ mask.get(addr);
@@ -195,22 +239,13 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
                             LutAccessStats* stats) const {
   // Site layout: [table 2^k bits | check bits]. The decoder reads the
   // entire faulted string, exactly as the hardware of Figure 1(b) would.
-  const std::size_t n = tt_.size();
-  std::size_t flips = 0;  // mask bits that hit this LUT's stored string
-  BitVec data = tt_;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask.get(i)) {
-      data.flip(i);
-      ++flips;
-    }
+  if (!mask.any()) {
+    return read_unfaulted(addr, stats);
   }
-  BitVec checks = checks_;
-  for (std::size_t i = 0; i < hamming_->check_bits(); ++i) {
-    if (mask.get(n + i)) {
-      checks.flip(i);
-      ++flips;
-    }
-  }
+  BitVec& data = t_data;
+  BitVec& checks = t_checks;
+  // Mask bits that hit this LUT's stored string.
+  const std::size_t flips = load_faulted(mask, data, checks);
   obs::CodeLayerCounters* oc =
       stats != nullptr ? code_layer_of(stats->obs, coding_) : nullptr;
   if (oc != nullptr) {
@@ -279,22 +314,12 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
 
 bool CodedLut::read_hsiao(std::uint32_t addr, MaskView mask,
                           LutAccessStats* stats) const {
-  const std::size_t n = tt_.size();
-  std::size_t flips = 0;
-  BitVec data = tt_;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask.get(i)) {
-      data.flip(i);
-      ++flips;
-    }
+  if (!mask.any()) {
+    return read_unfaulted(addr, stats);
   }
-  BitVec checks = checks_;
-  for (std::size_t i = 0; i < hsiao_->check_bits(); ++i) {
-    if (mask.get(n + i)) {
-      checks.flip(i);
-      ++flips;
-    }
-  }
+  BitVec& data = t_data;
+  BitVec& checks = t_checks;
+  const std::size_t flips = load_faulted(mask, data, checks);
   const HsiaoStatus st = hsiao_->detect_and_correct(data, checks);
   if (stats != nullptr) {
     if (st == HsiaoStatus::kCorrected) {
@@ -326,22 +351,12 @@ bool CodedLut::read_hsiao(std::uint32_t addr, MaskView mask,
 
 bool CodedLut::read_rs(std::uint32_t addr, MaskView mask,
                        LutAccessStats* stats) const {
-  const std::size_t n = tt_.size();
-  std::size_t flips = 0;
-  BitVec data = tt_;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask.get(i)) {
-      data.flip(i);
-      ++flips;
-    }
+  if (!mask.any()) {
+    return read_unfaulted(addr, stats);
   }
-  BitVec checks = checks_;
-  for (std::size_t i = 0; i < rs_->check_bits(); ++i) {
-    if (mask.get(n + i)) {
-      checks.flip(i);
-      ++flips;
-    }
-  }
+  BitVec& data = t_data;
+  BitVec& checks = t_checks;
+  const std::size_t flips = load_faulted(mask, data, checks);
   const RsStatus st = rs_->detect_and_correct(data, checks);
   if (stats != nullptr) {
     if (st == RsStatus::kCorrected) {

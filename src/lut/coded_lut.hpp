@@ -145,6 +145,12 @@ class CodedLut {
   std::unique_ptr<Rs16Code> rs_;
 
   [[nodiscard]] std::size_t tmr_site(std::size_t copy, std::size_t addr) const;
+  /// A coded read whose mask hits none of the LUT's sites.
+  [[nodiscard]] bool read_unfaulted(std::uint32_t addr,
+                                    LutAccessStats* stats) const;
+  /// Copies the stored table and check bits into `data` and `checks`
+  /// with `mask` overlaid; returns how many mask bits hit them.
+  std::size_t load_faulted(MaskView mask, BitVec& data, BitVec& checks) const;
   [[nodiscard]] bool read_none(std::uint32_t addr, MaskView mask) const;
   [[nodiscard]] bool read_tmr(std::uint32_t addr, MaskView mask,
                               LutAccessStats* stats) const;

@@ -33,13 +33,14 @@ TrialResult run_trial(const IAlu& alu,
 
   // Per-worker scalar mask arena: generate() clears/resizes as needed,
   // so the masks of a steady-state trial over the same ALU allocate
-  // nothing. The evaluation does allocate: the coded-LUT readers copy
-  // their BitVecs on every read (20,160 allocations per alush,
-  // alushsiao or alusrs trial), and Netlist::evaluate returns a fresh
-  // node vector per call (256 per aluscmos trial, 2,048 per alunhw
-  // trial). TMR and uncoded LUT ALUs allocate nothing. Only the wide
-  // backend's WideArena is audited allocation-free
-  // (tests/audit/alloc_audit_test.cpp).
+  // nothing. The evaluation does allocate: the Hamming, Hsiao and
+  // Reed-Solomon decoders build their recomputed check bits on every
+  // faulted read (about 130-190 allocations per alush, alushsiao or
+  // alusrs trial at 0.1% faults, 2,300-2,600 at 2%), and
+  // Netlist::evaluate returns a fresh node vector per call (256 per
+  // aluscmos trial, 2,048 per alunhw trial). TMR and uncoded LUT ALUs
+  // allocate nothing. Only the wide backend's WideArena is audited
+  // allocation-free (tests/audit/alloc_audit_test.cpp).
   thread_local BitVec mask;
   thread_local BitVec scratch;
   if (mask.size() != total_sites) {

@@ -46,6 +46,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #include "alu/module_plan.hpp"
 #include "common/batch_bitvec.hpp"
@@ -818,100 +823,148 @@ struct WideModuleExec {
 //
 // Under gen.uniform_count() every lane's mask is the same k Floyd steps,
 // step j drawing below(j + 1) from the lane's own generator, so a block
-// of lanes can take each step together: a xoshiro256** step and a Lemire
-// multiply per lane, written as plain uint64_t loops over the block that
-// the AVX-512 TU compiles to one zmm per state word (vprolq for the
-// rotates, the 128-bit product from two vector multiplies of 32-bit
-// halves).
-// Each lane still consumes exactly its scalar trial's draws, in order:
-// Lemire's rare rejection case (low product < bound) is finished per
-// lane by Rng::below_finish on that lane's own state.
-
-// Two constants of the tier TU shape the kernel. They are not knobs:
-// each was picked by timing the layer alone (aluss at 2%, 512 lanes, one
-// thread on a 4-vCPU AVX-512 host, all variants interleaved in one
-// process):
-//   kDrawBlock — lanes stepped together: a zmm of 64-bit states under
-//     AVX-512, a ymm under AVX2 (2.7 ns a draw vs 3.1 at one lane), one
-//     lane on the portable tier (3.1 ns: the per-lane loop with the draw
-//     inlined);
-//   kDrawTile — Floyd steps drawn before the block's writes. AVX-512
-//     draws 64 steps with its states in registers, then writes lane by
-//     lane (2.3 ns a draw vs 2.8 writing after every step); the narrower
-//     tiers lose 4–10% that way and write after every step.
+// of kDrawBlock lanes takes each step together. Each xoshiro256** state
+// word of the block is one DrawVec, held in a register across all of
+// the block's steps, and lemire_product builds Lemire's 128-bit product
+// x * bound from two vpmuludq on the AVX tiers. kDrawTile steps are
+// drawn before the block's test-and-set writes into the site-major rows.
+//
+// Each lane still consumes exactly its scalar trial's draws, in order.
+// Lemire's slow path (low product < bound, about sites / 2^64 a draw,
+// which no real seed has reached) is OR-accumulated over the tile and
+// tested once after it: a live lane that took it redraws its whole tile
+// with Rng::below from its state at the tile's start, which is what the
+// scalar loop draws. Idle lanes of a ragged block step along in lockstep
+// but never write a bit or redraw.
+//
+// The two constants are not knobs: each was picked by timing the layer
+// alone (aluss at 2% / 10%, 512 lanes, one thread, GCC 12 -O3 on a
+// 4-vCPU AVX-512 host, all variants interleaved in one process; ns per
+// draw):
+//   kDrawBlock — lanes stepped together: one register of 64-bit states,
+//     a zmm under AVX-512, a ymm under AVX2, a general register on the
+//     portable tier. Two registers a word spill: 16 lanes ran 3.5 / 4.2
+//     on AVX-512 against 1.7 / 2.5, 8 lanes 6.6 / 8.0 on AVX2 against
+//     2.0 / 2.9;
+//   kDrawTile — Floyd steps drawn before the block's writes. A short
+//     tile lets one tile's draws overlap the last one's random writes:
+//     AVX-512 16 (1.7 / 2.6; 8: 1.7 / 2.8; 64: 2.1 / 3.1), AVX2 8
+//     (2.1 / 3.3; 1: 3.8 / 4.7; 64: 2.6 / 3.8), portable 8 (3.2 / 4.7;
+//     1: 5.2 / 6.8; 64: 3.5 / 4.9).
 #if defined(__AVX512F__)
 constexpr std::size_t kDrawBlock = 8;
-constexpr std::size_t kDrawTile = 64;
+constexpr std::size_t kDrawTile = 16;
 #elif defined(__AVX2__)
 constexpr std::size_t kDrawBlock = 4;
-constexpr std::size_t kDrawTile = 1;
+constexpr std::size_t kDrawTile = 8;
 #else
 constexpr std::size_t kDrawBlock = 1;
-constexpr std::size_t kDrawTile = 1;
+constexpr std::size_t kDrawTile = 8;
 #endif
 static_assert(kLanesPerWord % kDrawBlock == 0);
 
-/// Lanes [first, first + live) of a group, live <= B: the block's Floyd
-/// steps j = n - k .. n - 1 with its states in registers, T steps' draws
-/// at a time, each tile followed by the per-lane test-and-set into the
-/// site-major rows (row0 = site 0's row, `stride` words per row). Lanes
-/// at and past `live` (idle lanes of a ragged block) step along but
-/// never write a bit or enter the fix-up.
-//
-// Two things keep GCC vectorizing the loops over the block whole. Every
-// value in them is 64-bit (lane index and flags too): a narrower element
-// type would size the vector by it and split each state word over two
-// registers. And they stay rolled: -O3 unrolls small constant-count
-// loops before the loop vectorizer runs, leaving scalar code.
-template <std::size_t B, std::size_t T>
-void floyd_block(LaneRngStates& st, std::size_t first, std::size_t live,
-                 std::size_t n, std::size_t k, std::uint64_t* row0,
-                 std::size_t stride) {
-  std::uint64_t s0[B], s1[B], s2[B], s3[B];
-#pragma GCC unroll 1
-  for (std::size_t b = 0; b < B; ++b) {
-    s0[b] = st.s[0][first + b];
-    s1[b] = st.s[1][first + b];
-    s2[b] = st.s[2][first + b];
-    s3[b] = st.s[3][first + b];
-  }
-  // B divides 64, so a block's lanes share one lane word.
+/// One 64-bit word of each of a block's lanes.
+using DrawVec = std::uint64_t __attribute__((vector_size(8 * kDrawBlock)));
+
+/// Per lane, Lemire's 128-bit product x * bound (bound < 2^32) as its
+/// high and low words.
+inline void lemire_product(DrawVec x, DrawVec bound, DrawVec& high,
+                           DrawVec& low) {
+#if defined(__AVX2__)
+  // Two 32x32-bit products, one vpmuludq each: exact, and the sum cannot
+  // carry, because bound < 2^32. GCC 12 compiles the portable spelling
+  // (x & 0xffffffff) * bound as a 64x64-bit product: vpmullq on AVX-512,
+  // three multiplies on AVX2.
+  const auto mul_u32 = [](DrawVec a, DrawVec b) {
+#if defined(__AVX512F__)
+    // The zero-masking form: the unmasked one trips GCC 12's
+    // -Wmaybe-uninitialized in its own header.
+    return reinterpret_cast<DrawVec>(_mm512_maskz_mul_epu32(
+        0xff, reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(b)));
+#else
+    return reinterpret_cast<DrawVec>(_mm256_mul_epu32(
+        reinterpret_cast<__m256i>(a), reinterpret_cast<__m256i>(b)));
+#endif
+  };
+  const DrawVec pl = mul_u32(x, bound);
+  const DrawVec mid = mul_u32(x >> 32, bound) + (pl >> 32);
+  high = mid >> 32;
+  low = (mid << 32) | (pl & 0xffffffffu);
+#else
+  // One lane: one 64x64-bit mul, as in Rng::below.
+  const __uint128_t m = static_cast<__uint128_t>(x[0]) * bound[0];
+  high = DrawVec{static_cast<std::uint64_t>(m >> 64)};
+  low = DrawVec{static_cast<std::uint64_t>(m)};
+#endif
+}
+
+/// Lanes [first, first + live) of a group, live <= kDrawBlock: the
+/// block's Floyd steps j = n - k .. n - 1, a tile at a time, each tile
+/// followed by the per-lane test-and-set into the site-major rows (row0
+/// = site 0's row, `stride` words per row). Aligned so that an edit
+/// elsewhere in the tier cannot move its loops against cache lines.
+[[gnu::noinline, gnu::aligned(64)]] inline void floyd_block(
+    LaneRngStates& st, std::size_t first, std::size_t live, std::size_t n,
+    std::size_t k, std::uint64_t* row0, std::size_t stride) {
+  DrawVec s0;
+  DrawVec s1;
+  DrawVec s2;
+  DrawVec s3;
+  std::memcpy(&s0, &st.s[0][first], sizeof s0);
+  std::memcpy(&s1, &st.s[1][first], sizeof s1);
+  std::memcpy(&s2, &st.s[2][first], sizeof s2);
+  std::memcpy(&s3, &st.s[3][first], sizeof s3);
+  // kDrawBlock divides 64, so a block's lanes share one lane word.
   std::uint64_t* col = row0 + first / kLanesPerWord;
   const std::size_t shift = first % kLanesPerWord;
-  std::uint64_t t[T][B];
-  for (std::size_t j0 = n - k; j0 < n; j0 += T) {
-    const std::size_t steps = std::min(T, n - j0);
+  std::uint64_t t[kDrawTile][kDrawBlock];
+  std::uint64_t start[4][kDrawBlock];
+  for (std::size_t j0 = n - k; j0 < n; j0 += kDrawTile) {
+    const std::size_t steps = std::min(kDrawTile, n - j0);
+    std::memcpy(start[0], &s0, sizeof s0);
+    std::memcpy(start[1], &s1, sizeof s1);
+    std::memcpy(start[2], &s2, sizeof s2);
+    std::memcpy(start[3], &s3, sizeof s3);
+    DrawVec slow = {};
     for (std::size_t i = 0; i < steps; ++i) {
-      const std::uint64_t bound = j0 + i + 1;
-      std::uint64_t low[B];
-      std::uint64_t slow = 0;
-#pragma GCC unroll 1
-      for (std::size_t b = 0; b < B; ++b) {
-        const std::uint64_t x =
-            xoshiro256ss_step(s0[b], s1[b], s2[b], s3[b]);
-        // The 128-bit x * bound from two 32x32-bit products: exact, and
-        // the sum cannot carry, because bound < 2^32.
-        const std::uint64_t pl = (x & 0xffffffffu) * bound;
-        const std::uint64_t mid = (x >> 32) * bound + (pl >> 32);
-        t[i][b] = mid >> 32;
-        low[b] = (mid << 32) | (pl & 0xffffffffu);
-        slow |= static_cast<std::uint64_t>(low[b] < bound) &
-                static_cast<std::uint64_t>(b < live);
-      }
-      if (slow != 0) [[unlikely]] {
-        for (std::size_t b = 0; b < live; ++b) {
-          if (low[b] < bound) {
-            Rng lane;
-            lane.set_state({s0[b], s1[b], s2[b], s3[b]});
-            t[i][b] = lane.below_finish(bound, low[b], t[i][b]);
-            const std::array<std::uint64_t, 4> s = lane.state();
-            s0[b] = s[0];
-            s1[b] = s[1];
-            s2[b] = s[2];
-            s3[b] = s[3];
-          }
+      const DrawVec bound = DrawVec{} + (j0 + i + 1);
+      const DrawVec x = xoshiro256ss_step(s0, s1, s2, s3);
+      DrawVec high;
+      DrawVec low;
+      lemire_product(x, bound, high, low);
+      std::memcpy(t[i], &high, sizeof high);
+      slow |= reinterpret_cast<DrawVec>(low < bound);
+    }
+    std::uint64_t redraw[kDrawBlock];
+    std::memcpy(redraw, &slow, sizeof slow);
+    std::uint64_t any = 0;
+    for (std::size_t b = 0; b < live; ++b) {
+      any |= redraw[b];
+    }
+    if (any != 0) [[unlikely]] {
+      std::uint64_t now[4][kDrawBlock];
+      std::memcpy(now[0], &s0, sizeof s0);
+      std::memcpy(now[1], &s1, sizeof s1);
+      std::memcpy(now[2], &s2, sizeof s2);
+      std::memcpy(now[3], &s3, sizeof s3);
+      for (std::size_t b = 0; b < live; ++b) {
+        if (redraw[b] == 0) {
+          continue;
+        }
+        Rng lane;
+        lane.set_state({start[0][b], start[1][b], start[2][b], start[3][b]});
+        for (std::size_t i = 0; i < steps; ++i) {
+          t[i][b] = lane.below(j0 + i + 1);
+        }
+        const std::array<std::uint64_t, 4> s = lane.state();
+        for (std::size_t w = 0; w < 4; ++w) {
+          now[w][b] = s[w];
         }
       }
+      std::memcpy(&s0, now[0], sizeof s0);
+      std::memcpy(&s1, now[1], sizeof s1);
+      std::memcpy(&s2, now[2], sizeof s2);
+      std::memcpy(&s3, now[3], sizeof s3);
     }
     for (std::size_t b = 0; b < live; ++b) {
       const std::uint64_t bit = std::uint64_t{1} << (shift + b);
@@ -923,13 +976,10 @@ void floyd_block(LaneRngStates& st, std::size_t first, std::size_t live,
       }
     }
   }
-#pragma GCC unroll 1
-  for (std::size_t b = 0; b < B; ++b) {
-    st.s[0][first + b] = s0[b];
-    st.s[1][first + b] = s1[b];
-    st.s[2][first + b] = s2[b];
-    st.s[3][first + b] = s3[b];
-  }
+  std::memcpy(&st.s[0][first], &s0, sizeof s0);
+  std::memcpy(&st.s[1][first], &s1, sizeof s1);
+  std::memcpy(&st.s[2][first], &s2, sizeof s2);
+  std::memcpy(&st.s[3][first], &s3, sizeof s3);
 }
 
 /// The tier's LaneKernels::lockstep_masks.
@@ -943,9 +993,9 @@ inline void lockstep_masks(const MaskGenerator& gen, LaneRngStates& states,
     return;
   }
   for (std::size_t first = 0; first < lanes; first += kDrawBlock) {
-    floyd_block<kDrawBlock, kDrawTile>(
-        states, first, std::min<std::size_t>(kDrawBlock, lanes - first),
-        gen.sites(), k, mask.row(0), mask.lane_words());
+    floyd_block(states, first,
+                std::min<std::size_t>(kDrawBlock, lanes - first), gen.sites(),
+                k, mask.row(0), mask.lane_words());
   }
 }
 

@@ -93,6 +93,31 @@ TEST(BitVec, ClearAllAndAny) {
   EXPECT_EQ(v.size(), 100u);
 }
 
+TEST(BitVec, AnyInSeesExactlyItsRange) {
+  // One set bit against every window of a 200-bit vector whose ends lie
+  // near word boundaries, and every window of a 70-bit one.
+  for (const std::size_t bit : {0u, 63u, 64u, 127u, 130u, 199u}) {
+    BitVec v(200);
+    v.set(bit, true);
+    for (std::size_t lo = 0; lo <= 200; ++lo) {
+      for (const std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 130u}) {
+        if (lo + n > 200) {
+          continue;
+        }
+        EXPECT_EQ(v.any_in(lo, n), bit >= lo && bit < lo + n)
+            << "bit " << bit << " window [" << lo << ", " << lo + n << ")";
+      }
+    }
+  }
+  BitVec w(70);
+  w.set(69, true);
+  for (std::size_t lo = 0; lo <= 70; ++lo) {
+    for (std::size_t n = 0; lo + n <= 70; ++n) {
+      EXPECT_EQ(w.any_in(lo, n), lo + n == 70 && n > 0);
+    }
+  }
+}
+
 TEST(BitVec, ExtractDeposit) {
   BitVec v(100);
   v.deposit(3, 16, 0xBEEF);

@@ -12,6 +12,7 @@ TEST(MaskView, NullViewIsAllZero) {
   EXPECT_FALSE(v.get(0));
   EXPECT_FALSE(v.get(1000));
   EXPECT_EQ(v.popcount(), 0u);
+  EXPECT_FALSE(v.any());
 }
 
 TEST(MaskView, WindowsIntoBitVec) {
@@ -26,6 +27,8 @@ TEST(MaskView, WindowsIntoBitVec) {
   EXPECT_TRUE(v.get(5));   // bit 10
   EXPECT_FALSE(v.get(9));  // bit 14
   EXPECT_EQ(v.popcount(), 2u);
+  EXPECT_TRUE(v.any());
+  EXPECT_FALSE(MaskView(bits, 11, 8).any());  // bits [11, 19)
 }
 
 TEST(MaskView, SubviewComposition) {

@@ -7,18 +7,23 @@
 // and its generator's final state equal what MaskGenerator::generate
 // leaves from the same start state, draw for draw.
 //
-// Lemire's rejection branch (low product < bound) is finished per lane
-// in scalar code, and no real seed reaches it, so two cases are built
-// here by inverting the generator's output scrambler:
+// Lemire's slow path (low product < bound) is tested once per tile of
+// Floyd steps, and a live lane that took it redraws its whole tile in
+// scalar code. No real seed reaches it, so the cases are built here by
+// inverting the generator's output scrambler and, to place the draw
+// later in the mask, its state update:
 //
 //   * a first draw x = 0, whose low product 0 lies under 2^64 mod bound:
 //     it must be rejected and drawn again;
 //   * a first draw whose low product lands in [2^64 mod bound, bound):
-//     it takes the slow path but is accepted on that first draw.
+//     it takes the slow path but is accepted on that first draw;
+//   * x = 0 at steps 0, 31, 63, 64 and 129 of a 130-step mask: tile
+//     starts, middles and ends, and a later tile, whatever tile length a
+//     tier picks.
 //
 // Idle lanes of a ragged block start from x = 0 states as well: they
-// must never write a bit, and never be fixed up (a fix-up would step
-// them further than the block's lockstep draws).
+// must never write a bit, and never be redrawn (a redraw would step them
+// further than the block's lockstep draws).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -63,6 +68,26 @@ State state_with_next_output(std::uint64_t x, std::uint64_t seed) {
   return s;
 }
 
+/// The state whose next() step leaves `s`: xoshiro256's state update
+/// run backwards. Its one non-trivial part, s1 ^ (s1 << 17) = c, is
+/// undone by c ^ (c << 17) ^ (c << 34) ^ (c << 51).
+State step_back(const State& s) {
+  const std::uint64_t e = std::rotr(s[3], 45);  // s3 ^ s1 before the step
+  const std::uint64_t s0 = s[0] ^ e;
+  const std::uint64_t c = s[1] ^ s[2];  // s1 ^ (s1 << 17)
+  const std::uint64_t s1 = c ^ (c << 17) ^ (c << 34) ^ (c << 51);
+  return {s0, s1, s[1] ^ s0 ^ s1, e ^ s1};
+}
+
+/// A state whose (steps + 1)-th next() output is 0.
+State state_with_zero_at(std::size_t steps, std::uint64_t seed) {
+  State s = state_with_next_output(0, seed);
+  for (std::size_t i = 0; i < steps; ++i) {
+    s = step_back(s);
+  }
+  return s;
+}
+
 State seeded_state(std::uint64_t seed) { return Rng(seed).state(); }
 
 /// Raw next() calls Rng::below(bound) consumed from `start`.
@@ -103,7 +128,7 @@ class LockstepMasks : public ::testing::TestWithParam<simd::SimdTier> {
   /// are idle), and checks each lane against MaskGenerator::generate on
   /// an Rng from the same state: same mask every round, same final
   /// state. Idle lanes must stay clear and, if a block stepped them,
-  /// have taken exactly one step per Floyd draw.
+  /// have taken exactly one step per Floyd step.
   void expect_matches_scalar(const MaskGenerator& gen,
                              const std::vector<State>& start, unsigned lanes,
                              int rounds) {
@@ -150,7 +175,7 @@ class LockstepMasks : public ::testing::TestWithParam<simd::SimdTier> {
         (void)stepped.next();
       }
       EXPECT_TRUE(now == start[l] || now == stepped.state())
-          << "idle lane " << l << " was fixed up";
+          << "idle lane " << l << " was redrawn";
     }
   }
 };
@@ -201,6 +226,47 @@ TEST_P(LockstepMasks, LowProductInTheAcceptBandIsKeptOnTheFirstDraw) {
   const State edge = state_with_next_output(x, 13);
   ASSERT_EQ(draws_consumed(edge, kBound), 1);
   expect_matches_scalar(gen, lane_states(20, {3, 8, 19}, edge), 20, 3);
+}
+
+TEST_P(LockstepMasks, RejectionLateInAMaskRedrawsOnlyItsLane) {
+  // aluss's site count at k = 130: step i draws below(4911 + i).
+  constexpr std::size_t kSites = 5040;
+  constexpr std::size_t kSteps = 130;
+  const MaskGenerator gen = generator_with_k(kSites, kSteps);
+  for (const std::size_t step : {0u, 31u, 63u, 64u, 129u}) {
+    SCOPED_TRACE("rejected at step " + std::to_string(step));
+    const State crafted = state_with_zero_at(step, 17);
+    // Every earlier step takes one draw, so step `step` draws x = 0.
+    Rng r;
+    r.set_state(crafted);
+    for (std::size_t i = 0; i < step; ++i) {
+      (void)r.below(kSites - kSteps + i + 1);
+    }
+    ASSERT_EQ(r.state(), state_with_next_output(0, 17));
+    ASSERT_EQ(draws_consumed(r.state(), kSites - kSteps + step + 1), 2);
+    // Lane 20 is live in the ragged last block (16..20 of 16..23 at 8
+    // lanes a block, 20 of 20..23 at 4); the block's idle lanes draw
+    // x = 0 at the same step, so a redraw of them would show.
+    std::vector<State> start = lane_states(21, {20}, crafted);
+    for (unsigned l = 21; l < start.size(); ++l) {
+      start[l] = state_with_zero_at(step, 7000 + l);
+    }
+    expect_matches_scalar(gen, start, 21, 2);
+  }
+}
+
+TEST(XoshiroStepBack, InvertsTheGeneratorStep) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const State s = seeded_state(seed);
+    Rng forward;
+    forward.set_state(s);
+    (void)forward.next();
+    EXPECT_EQ(step_back(forward.state()), s) << "seed " << seed;
+    Rng back;
+    back.set_state(step_back(s));
+    (void)back.next();
+    EXPECT_EQ(back.state(), s) << "seed " << seed;
+  }
 }
 
 TEST_P(LockstepMasks, RaggedGroupsMatchScalarMasksAndIdleLanesStayClear) {
