@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -33,6 +34,7 @@
 #include "bench/bench_cli.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "sim/bench_json.hpp"
 #include "sim/trial_engine.hpp"
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
       bench::kTrials | bench::kSeed | bench::kSmoke | bench::kOut,
       {{"--specs D", "distinct sweep specs (default 4)"},
        {"--repeats R", "cached repeats per spec (default 120)"},
-       {"--workers N", "service worker threads (default 2)"}});
+       {"--workers N", "service worker threads, 1-16 (default 2)"}});
   if (cli.done()) {
     return cli.status();
   }
@@ -75,17 +77,28 @@ int main(int argc, char** argv) {
   // round trip; the 100x gate below is the enforcement.
   const int trials = cli.trials(smoke ? 64 : 256);
   const std::uint64_t seed = cli.seed(2026);
-  const auto specs =
-      static_cast<std::size_t>(cli.args().get_int("specs", 4));
-  const auto repeats =
-      static_cast<std::size_t>(cli.args().get_int("repeats", 120));
-  const auto workers =
-      static_cast<unsigned>(cli.args().get_int("workers", 2));
-  if (specs < 1 || repeats < 99 || workers < 1) {
-    std::cerr << "bench_serve: need --specs >= 1, --repeats >= 99 (the "
-                 "99% hit-rate gate), --workers >= 1\n";
+  // Bounds are checked on the signed values: cast first, and -1 would
+  // become a count of billions.
+  const std::string bad_workers = serve::service_flag_message(cli.args());
+  if (!bad_workers.empty()) {
+    std::cerr << "bench_serve: " << bad_workers << "\n";
     return 2;
   }
+  const std::int64_t specs_arg = cli.args().get_int("specs", 4);
+  const std::int64_t repeats_arg = cli.args().get_int("repeats", 120);
+  if (specs_arg < 1) {
+    std::cerr << "bench_serve: need --specs >= 1\n";
+    return 2;
+  }
+  if (repeats_arg < 99) {
+    std::cerr << "bench_serve: need --repeats >= 99 (the 99% hit-rate "
+                 "gate)\n";
+    return 2;
+  }
+  const auto specs = static_cast<std::size_t>(specs_arg);
+  const auto repeats = static_cast<std::size_t>(repeats_arg);
+  const auto workers =
+      static_cast<unsigned>(cli.args().get_int("workers", 2));
 
   char socket_path[96];
   std::snprintf(socket_path, sizeof(socket_path),

@@ -12,6 +12,7 @@
 #include "fault/fit.hpp"
 #include "fault/mask_generator.hpp"
 #include "fault/sweep.hpp"
+#include "obs/counters.hpp"
 #include "sim/trial_engine.hpp"
 
 int main() {
@@ -40,22 +41,26 @@ int main() {
   const MaskGenerator gen(alu->fault_sites(), pct);
   int correct = 0;
   const int runs = 1000;
-  ModuleStats stats;
+  // The fault-anatomy sink: every layer reports what it did with the
+  // faults it saw (docs/OBSERVABILITY.md).
+  obs::Counters anatomy;
   for (int i = 0; i < runs; ++i) {
     const BitVec mask = gen.generate(rng);
     const AluOutput out = alu->compute(Opcode::kXor, 0x5A, 0xFF,
                                        MaskView(mask, 0, mask.size()),
-                                       &stats);
+                                       &anatomy);
     if (out.value == 0xA5) {
       ++correct;
     }
   }
   std::cout << correct << "/" << runs
             << " computations correct despite the fault storm\n";
-  std::cout << "(bit-level TMR disagreements absorbed: "
-            << stats.lut.tmr_disagreements
-            << ", module votes with disagreement: "
-            << stats.voter_disagreements << ")\n";
+  const obs::CodeLayerCounters& tmr = anatomy.at(obs::CodeLayer::kTmr);
+  std::cout << "(bit-level TMR reads repaired by the vote: " << tmr.corrected
+            << " of " << tmr.reads << ", lost: " << tmr.miscorrected
+            << "; module votes: " << anatomy.module_level.votes
+            << ", replica copies outvoted: "
+            << anatomy.module_level.copies_outvoted << ")\n";
 
   // 4. One paper-protocol data point: both image workloads, five trials
   //    each, mean of ten samples, evaluated on the unified TrialEngine.

@@ -10,10 +10,12 @@
 #   <build-dir>/coverage/index.html   per-file drill-down
 #   <build-dir>/coverage/summary.txt  per-directory table (also stdout)
 #
-# and FAILS (nonzero exit) when src/coding, src/sim or src/simd drops
-# below its line-coverage floor — those trees carry the paper's
-# correctness claims and the only lane-sliced engine, so untested code
-# there is a review blocker, not a statistic.
+# and FAILS (nonzero exit) when src/coding, src/sim, src/simd, src/alu,
+# src/lut or src/obs drops below its line-coverage floor — those trees
+# carry the paper's correctness claims, the only lane-sliced engine, the
+# scalar ALU stack every backend is checked against and the one
+# accounting and timing substrate, so untested code there is a review
+# blocker, not a statistic.
 # Floors live in coverage_report.py next to the calibration notes.
 #
 # Uses only gcov + python3 (both baked into the image); no gcovr/lcov.

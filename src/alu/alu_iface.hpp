@@ -20,25 +20,15 @@
 #include <string>
 #include <string_view>
 
+#include "common/bitvec.hpp"
 #include "common/types.hpp"
 #include "fault/mask_view.hpp"
-#include "lut/coded_lut.hpp"
 
 namespace nbx {
 
-/// Telemetry accumulated across computations; feeds the cell heartbeat
-/// (system level, §2.3) and the analysis benches.
-struct ModuleStats {
-  std::uint64_t computations = 0;
-  std::uint64_t voter_disagreements = 0;  ///< module replicas disagreed
-  std::uint64_t invalid_results = 0;      ///< voted valid bit came up 0
-  LutAccessStats lut;                     ///< aggregated bit-level stats
-
-  /// Optional fault-anatomy sink for module-level events (not owned).
-  /// Callers wanting the bit-level anatomy too set lut.obs to the same
-  /// sink. Null costs one pointer test per vote.
-  obs::Counters* obs = nullptr;
-};
+namespace obs {
+struct Counters;
+}  // namespace obs
 
 /// Result of one module-level computation.
 struct AluOutput {
@@ -62,10 +52,11 @@ class CoreAlu {
   [[nodiscard]] virtual BitVec golden_storage() const { return {}; }
 
   /// Evaluates the datapath under fault overlay `mask` (size must equal
-  /// fault_sites(); null = fault-free). `stats` may be null.
+  /// fault_sites(); null = fault-free). `sink` is the fault anatomy (not
+  /// owned; null = off).
   [[nodiscard]] virtual std::uint8_t eval(Opcode op, std::uint8_t a,
                                           std::uint8_t b, MaskView mask,
-                                          ModuleStats* stats) const = 0;
+                                          obs::Counters* sink) const = 0;
 };
 
 class DefectMap;
@@ -82,10 +73,12 @@ class IAlu {
   [[nodiscard]] virtual std::size_t fault_sites() const = 0;
 
   /// Runs one instruction under fault overlay `mask` (size fault_sites();
-  /// null = fault-free). `stats` may be null.
+  /// null = fault-free). `sink` is the fault anatomy of every layer
+  /// beneath — coded reads, votes, stored results (not owned; null =
+  /// off, one pointer test per hook).
   [[nodiscard]] virtual AluOutput compute(Opcode op, std::uint8_t a,
                                           std::uint8_t b, MaskView mask,
-                                          ModuleStats* stats = nullptr)
+                                          obs::Counters* sink = nullptr)
       const = 0;
 
   /// Number of *physical storage cells* a manufacturing DefectMap covers

@@ -52,8 +52,8 @@ CmosCoreAlu::CmosCoreAlu() {
 std::size_t CmosCoreAlu::fault_sites() const { return net_.node_count(); }
 
 std::uint8_t CmosCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
-                               MaskView mask, ModuleStats* stats) const {
-  (void)stats;  // the CMOS datapath has no correction telemetry
+                               MaskView mask, obs::Counters* sink) const {
+  (void)sink;  // the CMOS datapath has no correction telemetry
   const std::uint64_t inputs =
       static_cast<std::uint64_t>(a) | (static_cast<std::uint64_t>(b) << 8) |
       (static_cast<std::uint64_t>(static_cast<std::uint8_t>(op)) << 16);

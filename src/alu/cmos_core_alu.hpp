@@ -24,7 +24,7 @@ class CmosCoreAlu : public CoreAlu {
 
   [[nodiscard]] std::uint8_t eval(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
 
   /// The underlying netlist (exposed for structural tests).
   [[nodiscard]] const Netlist& netlist() const { return net_; }

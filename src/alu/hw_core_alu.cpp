@@ -34,10 +34,8 @@ bool HwLutCoreAlu::read_lut(std::size_t slice, Role r, std::uint32_t addr,
 }
 
 std::uint8_t HwLutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
-                                MaskView mask, ModuleStats* stats) const {
-  if (stats != nullptr) {
-    stats->lut.accesses += kLutCount;
-  }
+                                MaskView mask, obs::Counters* sink) const {
+  (void)sink;  // gate-level TMR reads report no code-layer anatomy
   const auto opbits = static_cast<std::uint32_t>(op);
   const bool op0 = opbits & 1u;
   const bool op1 = opbits & 2u;

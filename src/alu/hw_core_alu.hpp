@@ -25,7 +25,7 @@ class HwLutCoreAlu : public CoreAlu {
 
   [[nodiscard]] std::uint8_t eval(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
 
   /// Storage cells only (the subset the paper's model faulted).
   [[nodiscard]] std::size_t storage_sites() const;

@@ -96,12 +96,21 @@ MaskView LutCoreAlu::lut_mask(MaskView mask, std::size_t slice,
 }
 
 std::uint8_t LutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
-                              MaskView mask, ModuleStats* stats) const {
+                              MaskView mask, obs::Counters* sink) const {
+  return eval(op, a, b, mask, sink, nullptr);
+}
+
+std::uint8_t LutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
+                              MaskView mask, obs::Counters* sink,
+                              std::uint64_t* tmr_disagreements) const {
   const auto opbits = static_cast<std::uint32_t>(op);
   const bool op0 = opbits & 1u;
   const bool op1 = opbits & 2u;
   const bool op2 = opbits & 4u;
-  LutAccessStats* ls = stats != nullptr ? &stats->lut : nullptr;
+  const auto read = [&](std::size_t slice, Role r, std::uint32_t addr) {
+    return lut(slice, r).read(addr, lut_mask(mask, slice, r), sink,
+                              tmr_disagreements);
+  };
 
   std::uint8_t result = 0;
   bool cin = false;
@@ -111,16 +120,15 @@ std::uint8_t LutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
     const std::uint32_t ab = (ai ? 1u : 0u) | (bi ? 2u : 0u);
 
     const std::uint32_t l_addr = ab | (op0 ? 4u : 0u) | (op1 ? 8u : 0u);
-    const bool l = lut(i, kLogic).read(l_addr, lut_mask(mask, i, kLogic), ls);
+    const bool l = read(i, kLogic, l_addr);
 
     const std::uint32_t sc_addr = ab | (cin ? 4u : 0u) | (op2 ? 8u : 0u);
-    const bool s = lut(i, kSum).read(sc_addr, lut_mask(mask, i, kSum), ls);
-    const bool c = lut(i, kCarry).read(sc_addr, lut_mask(mask, i, kCarry), ls);
+    const bool s = read(i, kSum, sc_addr);
+    const bool c = read(i, kCarry, sc_addr);
 
     const std::uint32_t o_addr =
         (op2 ? 1u : 0u) | (l ? 2u : 0u) | (s ? 4u : 0u);
-    const bool o =
-        lut(i, kSelect).read(o_addr, lut_mask(mask, i, kSelect), ls);
+    const bool o = read(i, kSelect, o_addr);
 
     result |= static_cast<std::uint8_t>(o ? (1u << i) : 0u);
     cin = c;

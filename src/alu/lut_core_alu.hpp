@@ -35,7 +35,15 @@ class LutCoreAlu : public CoreAlu {
 
   [[nodiscard]] std::uint8_t eval(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
+
+  /// eval() that also adds to `*tmr_disagreements` (null = off) every
+  /// TMR read whose copies of the addressed bit disagreed — the
+  /// detector the processor cell feeds its error threshold (§2.3); see
+  /// CodedLut::read.
+  [[nodiscard]] std::uint8_t eval(Opcode op, std::uint8_t a, std::uint8_t b,
+                                  MaskView mask, obs::Counters* sink,
+                                  std::uint64_t* tmr_disagreements) const;
 
   /// Concatenated golden stored bits of all 32 LUTs in site order.
   [[nodiscard]] BitVec golden_storage() const override;

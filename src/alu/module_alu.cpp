@@ -5,7 +5,6 @@
 
 #include "alu/module_plan.hpp"
 #include "fault/defect_map.hpp"
-#include "obs/counters.hpp"
 
 namespace nbx {
 
@@ -39,12 +38,9 @@ SingleAlu::SingleAlu(std::string name, std::unique_ptr<CoreAlu> core)
 std::size_t SingleAlu::fault_sites() const { return core_->fault_sites(); }
 
 AluOutput SingleAlu::compute(Opcode op, std::uint8_t a, std::uint8_t b,
-                             MaskView mask, ModuleStats* stats) const {
-  if (stats != nullptr) {
-    ++stats->computations;
-  }
+                             MaskView mask, obs::Counters* sink) const {
   const CoreAlu* cores[1] = {core_.get()};
-  plan::ScalarModuleExec ex{op, a, b, mask, stats, cores, nullptr, {}};
+  plan::ScalarModuleExec ex{op, a, b, mask, sink, cores, nullptr, {}};
   plan::compute_single(ex);
   return ex.out;
 }
@@ -78,13 +74,10 @@ std::size_t SpaceRedundantAlu::fault_sites() const {
 
 AluOutput SpaceRedundantAlu::compute(Opcode op, std::uint8_t a,
                                      std::uint8_t b, MaskView mask,
-                                     ModuleStats* stats) const {
-  if (stats != nullptr) {
-    ++stats->computations;
-  }
+                                     obs::Counters* sink) const {
   const CoreAlu* cores[3] = {cores_[0].get(), cores_[1].get(),
                              cores_[2].get()};
-  plan::ScalarModuleExec ex{op, a, b, mask, stats, cores, voter_.get(), {}};
+  plan::ScalarModuleExec ex{op, a, b, mask, sink, cores, voter_.get(), {}};
   plan::compute_space(ex);
   return ex.out;
 }
@@ -165,12 +158,9 @@ void TimeRedundantAlu::impose_defects(const DefectMap& defects,
 
 AluOutput TimeRedundantAlu::compute(Opcode op, std::uint8_t a,
                                     std::uint8_t b, MaskView mask,
-                                    ModuleStats* stats) const {
-  if (stats != nullptr) {
-    ++stats->computations;
-  }
+                                    obs::Counters* sink) const {
   const CoreAlu* cores[1] = {core_.get()};
-  plan::ScalarModuleExec ex{op, a, b, mask, stats, cores, voter_.get(), {}};
+  plan::ScalarModuleExec ex{op, a, b, mask, sink, cores, voter_.get(), {}};
   plan::compute_time(ex);
   return ex.out;
 }

@@ -44,7 +44,7 @@ class SingleAlu : public IAlu {
   [[nodiscard]] std::size_t fault_sites() const override;
   [[nodiscard]] AluOutput compute(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
   [[nodiscard]] std::size_t defectable_sites() const override;
   [[nodiscard]] BitVec golden_storage() const override;
   void impose_defects(const DefectMap& defects,
@@ -70,7 +70,7 @@ class SpaceRedundantAlu : public IAlu {
   [[nodiscard]] std::size_t fault_sites() const override;
   [[nodiscard]] AluOutput compute(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
   /// Three physically separate replicas: each replica's storage is
   /// independently defectable — defect space [core0|core1|core2|voter].
   [[nodiscard]] std::size_t defectable_sites() const override;
@@ -103,7 +103,7 @@ class TimeRedundantAlu : public IAlu {
   [[nodiscard]] std::size_t fault_sites() const override;
   [[nodiscard]] AluOutput compute(Opcode op, std::uint8_t a, std::uint8_t b,
                                   MaskView mask,
-                                  ModuleStats* stats) const override;
+                                  obs::Counters* sink) const override;
   /// ONE physical datapath executes all three passes, so its storage
   /// appears once in the defect space [core|voter] but its defects are
   /// replicated into all three transient pass segments: manufacturing

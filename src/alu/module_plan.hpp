@@ -95,7 +95,7 @@ struct ScalarModuleExec {
   std::uint8_t a;
   std::uint8_t b;
   MaskView mask;
-  ModuleStats* stats;
+  obs::Counters* sink;          ///< fault anatomy; null = off
   const CoreAlu* const* cores;  ///< 1 (single/time) or 3 (space) entries
   const IVoter* voter;          ///< null for single
   AluOutput out;
@@ -111,7 +111,7 @@ struct ScalarModuleExec {
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
     const MaskView m =
         mask.is_null() ? MaskView{} : mask.subview(offset, core_sites());
-    r = cores[core]->eval(op, a, b, m, stats);
+    r = cores[core]->eval(op, a, b, m, sink);
   }
 
   void absorb_stored(Result& r, Valid& v, std::size_t slot) {
@@ -129,8 +129,8 @@ struct ScalarModuleExec {
       v = false;
       ++hits;
     }
-    if (stats != nullptr && stats->obs != nullptr) {
-      stats->obs->module_level.storage_faults += hits;
+    if (sink != nullptr) {
+      sink->module_level.storage_faults += hits;
     }
   }
 
@@ -139,7 +139,7 @@ struct ScalarModuleExec {
         mask.is_null() ? MaskView{}
                        : mask.subview(voter_off, voter->fault_sites());
     const VoteOutput o = voter->vote(
-        VoteInput{r[0], r[1], r[2], v[0], v[1], v[2]}, vm, stats);
+        VoteInput{r[0], r[1], r[2], v[0], v[1], v[2]}, vm, sink);
     out = AluOutput{o.value, o.valid, o.disagreement};
   }
 

@@ -15,6 +15,21 @@ inline std::uint8_t byte_majority(const VoteInput& in) {
                                    (in.x & in.z));
 }
 
+/// Tallies one vote: the replica copies the clean majority outvoted, and
+/// a voter self fault when the voted byte (or `valid_escaped`, the valid
+/// line) differs from that majority — a fault in the voter's own fabric.
+void account_vote(obs::ModuleLayerCounters& m, const VoteInput& in,
+                  std::uint8_t voted, bool valid_escaped) {
+  ++m.votes;
+  const std::uint8_t maj = byte_majority(in);
+  m.copies_outvoted += static_cast<std::uint64_t>(in.x != maj) +
+                       static_cast<std::uint64_t>(in.y != maj) +
+                       static_cast<std::uint64_t>(in.z != maj);
+  if (voted != maj || valid_escaped) {
+    ++m.voter_self_faults;
+  }
+}
+
 }  // namespace
 
 LutVoter::LutVoter(LutCoding coding) : coding_(coding) {
@@ -32,8 +47,7 @@ LutVoter::LutVoter(LutCoding coding) : coding_(coding) {
 }
 
 VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
-                          ModuleStats* stats) const {
-  LutAccessStats* ls = stats != nullptr ? &stats->lut : nullptr;
+                          obs::Counters* sink) const {
   VoteOutput out;
   out.disagreement = tmr_disagreement(in.x, in.y, in.z) ||
                      tmr_disagreement(in.vx, in.vy, in.vz);
@@ -44,7 +58,7 @@ VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
     const MaskView m = mask.is_null()
                            ? MaskView{}
                            : mask.subview(offsets_[i], luts_[i].fault_sites());
-    if (luts_[i].read(addr, m, ls)) {
+    if (luts_[i].read(addr, m, sink)) {
       out.value |= static_cast<std::uint8_t>(1u << i);
     }
   }
@@ -53,28 +67,10 @@ VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
   const MaskView vm = mask.is_null()
                           ? MaskView{}
                           : mask.subview(offsets_[8], luts_[8].fault_sites());
-  out.valid = luts_[8].read(vaddr, vm, ls);
-  if (stats != nullptr) {
-    if (out.disagreement) {
-      ++stats->voter_disagreements;
-    }
-    if (!out.valid) {
-      ++stats->invalid_results;
-    }
-    if (stats->obs != nullptr) {
-      auto& m = stats->obs->module_level;
-      ++m.votes;
-      const std::uint8_t maj = byte_majority(in);
-      m.copies_outvoted += static_cast<std::uint64_t>(in.x != maj) +
-                           static_cast<std::uint64_t>(in.y != maj) +
-                           static_cast<std::uint64_t>(in.z != maj);
-      // Faults inside the voter's own LUT fabric escape the vote: the
-      // output (value or valid line) differs from the clean majority.
-      const bool majv = majority3(in.vx, in.vy, in.vz);
-      if (out.value != maj || out.valid != majv) {
-        ++m.voter_self_faults;
-      }
-    }
+  out.valid = luts_[8].read(vaddr, vm, sink);
+  if (sink != nullptr) {
+    account_vote(sink->module_level, in, out.value,
+                 out.valid != majority3(in.vx, in.vy, in.vz));
   }
   return out;
 }
@@ -127,7 +123,7 @@ CmosVoter::CmosVoter() {
 std::size_t CmosVoter::fault_sites() const { return net_.node_count(); }
 
 VoteOutput CmosVoter::vote(const VoteInput& in, MaskView mask,
-                           ModuleStats* stats) const {
+                           obs::Counters* sink) const {
   const std::uint64_t inputs = static_cast<std::uint64_t>(in.x) |
                                (static_cast<std::uint64_t>(in.y) << 8) |
                                (static_cast<std::uint64_t>(in.z) << 16);
@@ -142,22 +138,9 @@ VoteOutput CmosVoter::vote(const VoteInput& in, MaskView mask,
   // replica disagreement (possibly itself faulted).
   out.valid = true;
   out.disagreement = net_.value_of(err_, inputs, nodes);
-  if (stats != nullptr) {
-    if (out.disagreement) {
-      ++stats->voter_disagreements;
-    }
-    if (stats->obs != nullptr) {
-      auto& m = stats->obs->module_level;
-      ++m.votes;
-      const std::uint8_t maj = byte_majority(in);
-      m.copies_outvoted += static_cast<std::uint64_t>(in.x != maj) +
-                           static_cast<std::uint64_t>(in.y != maj) +
-                           static_cast<std::uint64_t>(in.z != maj);
-      // No valid datapath here; a self fault is a wrong data byte.
-      if (out.value != maj) {
-        ++m.voter_self_faults;
-      }
-    }
+  if (sink != nullptr) {
+    // No valid datapath here; a self fault is a wrong data byte.
+    account_vote(sink->module_level, in, out.value, false);
   }
   return out;
 }

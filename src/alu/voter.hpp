@@ -53,8 +53,10 @@ class IVoter {
 
   [[nodiscard]] virtual std::size_t fault_sites() const = 0;
 
+  /// Votes `in` under fault overlay `mask`; `sink` is the fault anatomy
+  /// (not owned; null = off).
   [[nodiscard]] virtual VoteOutput vote(const VoteInput& in, MaskView mask,
-                                        ModuleStats* stats) const = 0;
+                                        obs::Counters* sink) const = 0;
 
   /// Golden stored bits for storage-based voters (LUT voters); empty for
   /// the gate-level CMOS voter (no defectable storage).
@@ -70,7 +72,7 @@ class LutVoter : public IVoter {
   [[nodiscard]] std::size_t fault_sites() const override { return sites_; }
 
   [[nodiscard]] VoteOutput vote(const VoteInput& in, MaskView mask,
-                                ModuleStats* stats) const override;
+                                obs::Counters* sink) const override;
 
   [[nodiscard]] BitVec golden_storage() const override;
 
@@ -100,7 +102,7 @@ class CmosVoter : public IVoter {
   [[nodiscard]] std::size_t fault_sites() const override;
 
   [[nodiscard]] VoteOutput vote(const VoteInput& in, MaskView mask,
-                                ModuleStats* stats) const override;
+                                obs::Counters* sink) const override;
 
   [[nodiscard]] const Netlist& netlist() const { return net_; }
 

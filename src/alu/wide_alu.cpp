@@ -47,7 +47,7 @@ std::uint32_t WideLutAlu::golden(Opcode op, std::uint32_t a,
 }
 
 std::uint32_t WideLutAlu::eval(Opcode op, std::uint32_t a, std::uint32_t b,
-                               MaskView mask, LutAccessStats* stats) const {
+                               MaskView mask, obs::Counters* sink) const {
   const auto opbits = static_cast<std::uint32_t>(op);
   const bool op0 = opbits & 1u;
   const bool op1 = opbits & 2u;
@@ -66,17 +66,17 @@ std::uint32_t WideLutAlu::eval(Opcode op, std::uint32_t a, std::uint32_t b,
     const std::size_t base = i * 4;
     const std::uint32_t l_addr = ab | (op0 ? 4u : 0u) | (op1 ? 8u : 0u);
     const bool l =
-        luts_[base + kLogic].read(l_addr, lut_mask(base + kLogic), stats);
+        luts_[base + kLogic].read(l_addr, lut_mask(base + kLogic), sink);
     const std::uint32_t sc_addr = ab | (cin ? 4u : 0u) | (op2 ? 8u : 0u);
     const bool s =
-        luts_[base + kSum].read(sc_addr, lut_mask(base + kSum), stats);
+        luts_[base + kSum].read(sc_addr, lut_mask(base + kSum), sink);
     const bool c =
-        luts_[base + kCarry].read(sc_addr, lut_mask(base + kCarry), stats);
+        luts_[base + kCarry].read(sc_addr, lut_mask(base + kCarry), sink);
     const std::uint32_t o_addr =
         (op2 ? 1u : 0u) | (l ? 2u : 0u) | (s ? 4u : 0u);
     const bool o = luts_[base + kSelect].read(o_addr,
                                               lut_mask(base + kSelect),
-                                              stats);
+                                              sink);
     result |= o ? (1u << i) : 0u;
     cin = c;
   }

@@ -36,10 +36,11 @@ class WideLutAlu {
   [[nodiscard]] std::uint32_t value_mask() const;
 
   /// Evaluates one instruction under fault overlay `mask` (size
-  /// fault_sites(); null = fault-free).
+  /// fault_sites(); null = fault-free). `sink` is the fault anatomy
+  /// (not owned; null = off).
   [[nodiscard]] std::uint32_t eval(Opcode op, std::uint32_t a,
                                    std::uint32_t b, MaskView mask,
-                                   LutAccessStats* stats = nullptr) const;
+                                   obs::Counters* sink = nullptr) const;
 
   /// Golden W-bit semantics (ADD wraps modulo 2^W).
   [[nodiscard]] std::uint32_t golden(Opcode op, std::uint32_t a,

@@ -134,10 +134,9 @@ bool CellPipeline::cycle() {
   if (id_ex_.valid) {
     auto& ex = counters_.at(stage_idx(PipeStage::kExecute));
     ++ex.ops;
-    ModuleStats stats;
     const AluOutput out = execute_.run(
         static_cast<Opcode>(id_ex_.op.op_bits), id_ex_.operand1,
-        id_ex_.operand2, execute_rng_, &stats, &ex.bit_faults);
+        id_ex_.operand2, execute_rng_, &ex.bit_faults);
     ex_wb_ = ExWbLatch{true, id_ex_.index, id_ex_.op.instr_id,
                        id_ex_.op.dst, out.value, id_ex_.op};
     trace_event(TraceEvent::kStageExecute, id_ex_.op.instr_id);

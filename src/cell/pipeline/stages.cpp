@@ -111,7 +111,8 @@ void ExecuteStage::set_fault_percent(double percent) {
 }
 
 std::uint8_t ExecuteStage::pass(Opcode op, std::uint8_t a, std::uint8_t b,
-                                Rng& rng, ModuleStats* stats) {
+                                Rng& rng,
+                                std::uint64_t* tmr_disagreements) {
   assert(lut_ != nullptr);
   // A fresh transient-fault mask per ALU pass (paper §4), with the
   // cell's manufacturing defects overlaid on top (stuck cells dominate).
@@ -119,12 +120,12 @@ std::uint8_t ExecuteStage::pass(Opcode op, std::uint8_t a, std::uint8_t b,
   if (defects_.defect_count() != 0) {
     defects_.impose(golden_bits_, mask_);
   }
-  return lut_->eval(op, a, b, MaskView(mask_, 0, mask_.size()), stats);
+  return lut_->eval(op, a, b, MaskView(mask_, 0, mask_.size()), nullptr,
+                    tmr_disagreements);
 }
 
 AluOutput ExecuteStage::run(Opcode op, std::uint8_t a, std::uint8_t b,
-                            Rng& rng, ModuleStats* stats,
-                            std::uint64_t* bit_faults) {
+                            Rng& rng, std::uint64_t* bit_faults) {
   assert(ialu_ != nullptr);
   gen_.generate(rng, mask_);
   if (defects_.defect_count() != 0) {
@@ -133,7 +134,7 @@ AluOutput ExecuteStage::run(Opcode op, std::uint8_t a, std::uint8_t b,
   if (bit_faults != nullptr) {
     *bit_faults += mask_.popcount();
   }
-  return ialu_->compute(op, a, b, MaskView(mask_, 0, mask_.size()), stats);
+  return ialu_->compute(op, a, b, MaskView(mask_, 0, mask_.size()));
 }
 
 // ------------------------------------------------------------- writeback

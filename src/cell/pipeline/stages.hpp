@@ -143,16 +143,16 @@ class ExecuteStage {
   void set_fault_percent(double percent);
 
   /// Legacy path: one LutCoreAlu pass under a fresh mask with defects
-  /// overlaid — bit-identical to the historical compute_pass.
+  /// overlaid — bit-identical to the historical compute_pass. Adds the
+  /// pass's TMR copy disagreements to `*tmr_disagreements`.
   [[nodiscard]] std::uint8_t pass(Opcode op, std::uint8_t a,
                                   std::uint8_t b, Rng& rng,
-                                  ModuleStats* stats);
+                                  std::uint64_t* tmr_disagreements);
 
   /// Program path: one IAlu computation under a fresh mask with
   /// defects overlaid. Adds the injected flip count to `*bit_faults`.
   [[nodiscard]] AluOutput run(Opcode op, std::uint8_t a, std::uint8_t b,
-                              Rng& rng, ModuleStats* stats,
-                              std::uint64_t* bit_faults);
+                              Rng& rng, std::uint64_t* bit_faults);
 
   [[nodiscard]] std::size_t fault_sites() const;
   [[nodiscard]] const DefectMap& defects() const { return defects_; }

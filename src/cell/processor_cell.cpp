@@ -190,12 +190,12 @@ void ProcessorCell::forward_packet(const Packet& p, RouteDecision d) {
 
 std::uint8_t ProcessorCell::compute_pass(Opcode op, std::uint8_t a,
                                          std::uint8_t b) {
-  ModuleStats stats;
-  const std::uint8_t r = execute_.pass(op, a, b, rng_, &stats);
-  if (stats.lut.tmr_disagreements != 0) {
-    stats_.masked_alu_faults += stats.lut.tmr_disagreements;
+  std::uint64_t disagreements = 0;
+  const std::uint8_t r = execute_.pass(op, a, b, rng_, &disagreements);
+  if (disagreements != 0) {
+    stats_.masked_alu_faults += disagreements;
     if (config_.count_masked_faults) {
-      note_error(stats.lut.tmr_disagreements);
+      note_error(disagreements);
     }
   }
   return r;

@@ -31,6 +31,7 @@
 #include "lut/truth_table.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
+#include "serve/wire.hpp"
 #include "sim/trial_engine.hpp"
 #include "simd/simd_dispatch.hpp"
 #include "workload/instruction_stream.hpp"
@@ -166,21 +167,6 @@ struct BackendCase {
   unsigned lanes = 2;    // 1..512 wide-engine lanes
   unsigned threads = 2;  // pool width of every threaded pass
 };
-
-std::optional<FaultCountPolicy> parse_policy(const std::string& s) {
-  if (s == "round") return FaultCountPolicy::kRoundNearest;
-  if (s == "floor") return FaultCountPolicy::kFloor;
-  if (s == "bernoulli") return FaultCountPolicy::kBernoulli;
-  if (s == "burst") return FaultCountPolicy::kBurst;
-  return std::nullopt;
-}
-
-std::optional<RateScheduleKind> parse_schedule(const std::string& s) {
-  if (s == "constant") return RateScheduleKind::kConstant;
-  if (s == "linear") return RateScheduleKind::kLinear;
-  if (s == "weibull") return RateScheduleKind::kWeibull;
-  return std::nullopt;
-}
 
 /// A case costs what its three scalar passes cost (the wide engine runs
 /// most trials two orders of magnitude faster). A scalar trial takes 2-6
@@ -497,15 +483,18 @@ std::optional<std::string> run_backend_case(const BackendCase& c) {
   if (alu == nullptr) {
     return "invalid case: unknown alu '" + c.alu + "'";
   }
-  const std::optional<FaultCountPolicy> policy = parse_policy(c.policy);
+  const std::optional<FaultCountPolicy> policy =
+      serve::policy_from_name(c.policy);
   if (!policy.has_value()) {
     return "invalid case: unknown policy '" + c.policy + "'";
   }
-  const std::optional<RateScheduleKind> kind = parse_schedule(c.schedule);
+  const std::optional<RateScheduleKind> kind =
+      serve::schedule_from_name(c.schedule);
   if (!kind.has_value()) {
     return "invalid case: unknown schedule '" + c.schedule + "'";
   }
-  if (c.scope != "all" && c.scope != "datapath") {
+  const std::optional<InjectionScope> scope = serve::scope_from_name(c.scope);
+  if (!scope.has_value()) {
     return "invalid case: unknown scope '" + c.scope + "'";
   }
   if (c.percents.empty() || c.trials < 1 || c.lanes < 1 ||
@@ -519,7 +508,7 @@ std::optional<std::string> run_backend_case(const BackendCase& c) {
   if (!(c.end_factor >= 0.0) || !(c.shape > 0.0)) {
     return "invalid case: end_factor must be >= 0 and shape > 0";
   }
-  if (c.scope == "datapath" &&
+  if (*scope == InjectionScope::kDatapathOnly &&
       (c.datapath_sites < 1 || c.datapath_sites > alu->fault_sites())) {
     return "invalid case: datapath_sites out of [1, fault_sites]";
   }
@@ -530,9 +519,9 @@ std::optional<std::string> run_backend_case(const BackendCase& c) {
   spec.seed = c.seed;
   spec.policy = *policy;
   spec.burst_length = c.burst_length;
-  spec.scope = c.scope == "datapath" ? InjectionScope::kDatapathOnly
-                                     : InjectionScope::kAll;
-  spec.datapath_sites = c.scope == "datapath" ? c.datapath_sites : 0;
+  spec.scope = *scope;
+  spec.datapath_sites =
+      *scope == InjectionScope::kDatapathOnly ? c.datapath_sites : 0;
   spec.scenario.schedule.kind = *kind;
   spec.scenario.schedule.end_factor = c.end_factor;
   spec.scenario.schedule.shape = c.shape;
@@ -1087,10 +1076,11 @@ std::optional<std::string> run_tmr_case(const DecodeCase& c) {
   for (std::size_t p : c.flips) {
     mask.flip(p);
   }
-  LutAccessStats stats;
+  std::uint64_t disagreements = 0;
   for (std::size_t addr = 0; addr < n; ++addr) {
     const bool got = lut.read(static_cast<std::uint32_t>(addr),
-                              MaskView(mask, 0, mask.size()), &stats);
+                              MaskView(mask, 0, mask.size()), nullptr,
+                              &disagreements);
     if (got != tt.get(addr)) {
       std::ostringstream os;
       os << c.code << "(" << n << ") data=" << c.data
@@ -1100,10 +1090,10 @@ std::optional<std::string> run_tmr_case(const DecodeCase& c) {
       return os.str();
     }
   }
-  if (stats.tmr_disagreements != c.flips.size()) {
+  if (disagreements != c.flips.size()) {
     std::ostringstream os;
     os << c.code << "(" << n << ") flips=" << flips_string(c.flips)
-       << ": tmr_disagreements " << stats.tmr_disagreements
+       << ": tmr_disagreements " << disagreements
        << " over one full read pass, expected one per flipped entry ("
        << c.flips.size() << ")";
     return os.str();

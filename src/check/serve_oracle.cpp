@@ -273,7 +273,6 @@ std::optional<std::string> run_serve_case(const ServeCase& c) {
   // A live service with generated worker count and shard granularity.
   serve::ServiceConfig cfg;
   cfg.workers = c.workers;
-  cfg.shard_threads = c.workers;
   cfg.max_queue = 64;
   cfg.min_items_per_shard = c.min_shard;
   serve::SweepService service(cfg);

@@ -137,39 +137,35 @@ BitVec CodedLut::stored_bits() const {
   return bits;
 }
 
-bool CodedLut::read(std::uint32_t addr, MaskView mask,
-                    LutAccessStats* stats) const {
+bool CodedLut::read(std::uint32_t addr, MaskView mask, obs::Counters* sink,
+                    std::uint64_t* tmr_disagreements) const {
   assert(addr < tt_.size());
   assert(mask.is_null() || mask.size() == fault_sites_);
-  if (stats != nullptr) {
-    ++stats->accesses;
-  }
+  obs::CodeLayerCounters* oc = code_layer_of(sink, coding_);
   switch (coding_) {
     case LutCoding::kNone:
       return read_none(addr, mask);
     case LutCoding::kTmr:
     case LutCoding::kTmrInterleaved:
-      return read_tmr(addr, mask, stats);
+      return read_tmr(addr, mask, oc, tmr_disagreements);
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
-      return read_hamming(addr, mask, stats);
+      return read_hamming(addr, mask, oc);
     case LutCoding::kHsiao:
-      return read_hsiao(addr, mask, stats);
+      return read_hsiao(addr, mask, oc);
     case LutCoding::kReedSolomon:
-      return read_rs(addr, mask, stats);
+      return read_rs(addr, mask, oc);
   }
   return false;
 }
 
 bool CodedLut::read_unfaulted(std::uint32_t addr,
-                              LutAccessStats* stats) const {
+                              obs::CodeLayerCounters* oc) const {
   // An unfaulted codeword has a zero syndrome, which every decoder reads
   // as clean: the stored table, nothing repaired.
-  if (stats != nullptr) {
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
-      ++oc->reads;
-      ++oc->clean;
-    }
+  if (oc != nullptr) {
+    ++oc->reads;
+    ++oc->clean;
   }
   return tt_.get(addr);
 }
@@ -211,43 +207,40 @@ std::size_t CodedLut::tmr_site(std::size_t copy, std::size_t addr) const {
 }
 
 bool CodedLut::read_tmr(std::uint32_t addr, MaskView mask,
-                        LutAccessStats* stats) const {
+                        obs::CodeLayerCounters* oc,
+                        std::uint64_t* tmr_disagreements) const {
   const bool golden = tt_.get(addr);
   const bool c0 = golden ^ mask.get(tmr_site(0, addr));
   const bool c1 = golden ^ mask.get(tmr_site(1, addr));
   const bool c2 = golden ^ mask.get(tmr_site(2, addr));
   const bool voted = majority3(c0, c1, c2);
-  if (stats != nullptr) {
-    if (tmr_disagreement(c0, c1, c2)) {
-      ++stats->tmr_disagreements;
-    }
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
-      ++oc->reads;
-      if (c0 == golden && c1 == golden && c2 == golden) {
-        ++oc->clean;
-      } else if (voted == golden) {
-        ++oc->corrected;
-      } else {
-        ++oc->miscorrected;
-      }
+  if (tmr_disagreements != nullptr && tmr_disagreement(c0, c1, c2)) {
+    ++*tmr_disagreements;
+  }
+  if (oc != nullptr) {
+    ++oc->reads;
+    if (c0 == golden && c1 == golden && c2 == golden) {
+      ++oc->clean;
+    } else if (voted == golden) {
+      ++oc->corrected;
+    } else {
+      ++oc->miscorrected;
     }
   }
   return voted;
 }
 
 bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
-                            LutAccessStats* stats) const {
+                            obs::CodeLayerCounters* oc) const {
   // Site layout: [table 2^k bits | check bits]. The decoder reads the
   // entire faulted string, exactly as the hardware of Figure 1(b) would.
   if (!mask.any()) {
-    return read_unfaulted(addr, stats);
+    return read_unfaulted(addr, oc);
   }
   BitVec& data = t_data;
   BitVec& checks = t_checks;
   // Mask bits that hit this LUT's stored string.
   const std::size_t flips = load_faulted(mask, data, checks);
-  obs::CodeLayerCounters* oc =
-      stats != nullptr ? code_layer_of(stats->obs, coding_) : nullptr;
   if (oc != nullptr) {
     ++oc->reads;
   }
@@ -266,9 +259,6 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
       // miscorrection when the real fault was multi-bit — a single flip
       // decoding as kDataBit is always that flip, so repair is genuine
       // exactly when flips == 1).
-      if (stats != nullptr) {
-        ++stats->corrections;
-      }
       if (oc != nullptr) {
         ++(flips == 1 ? oc->corrected : oc->miscorrected);
       }
@@ -283,9 +273,6 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
     // Textbook SEC decoder: a check-bit syndrome means the data is
     // intact; an invalid syndrome is detected-uncorrectable. Either way
     // the addressed bit is passed through untouched.
-    if (stats != nullptr) {
-      ++stats->detected_only;
-    }
     if (oc != nullptr) {
       ++oc->detected_uncorrectable;
     }
@@ -299,13 +286,6 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
   const std::uint32_t addr_pos =
       hamming_->position_of_data(static_cast<std::size_t>(addr));
   const bool false_positive = (d.syndrome & addr_pos) != 0;
-  if (stats != nullptr) {
-    if (false_positive) {
-      ++stats->corrections;  // a "correction" was applied (wrongly)
-    } else {
-      ++stats->detected_only;
-    }
-  }
   if (oc != nullptr) {
     ++(false_positive ? oc->false_positive : oc->detected_uncorrectable);
   }
@@ -313,73 +293,59 @@ bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,
 }
 
 bool CodedLut::read_hsiao(std::uint32_t addr, MaskView mask,
-                          LutAccessStats* stats) const {
+                          obs::CodeLayerCounters* oc) const {
   if (!mask.any()) {
-    return read_unfaulted(addr, stats);
+    return read_unfaulted(addr, oc);
   }
   BitVec& data = t_data;
   BitVec& checks = t_checks;
   const std::size_t flips = load_faulted(mask, data, checks);
   const HsiaoStatus st = hsiao_->detect_and_correct(data, checks);
-  if (stats != nullptr) {
-    if (st == HsiaoStatus::kCorrected) {
-      ++stats->corrections;
-    } else if (st != HsiaoStatus::kNoError) {
-      ++stats->detected_only;
-    }
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
-      ++oc->reads;
-      switch (st) {
-        case HsiaoStatus::kNoError:
-          ++(flips == 0 ? oc->clean : oc->undetected);
-          break;
-        case HsiaoStatus::kCorrected:
-          // Odd-weight-column property: a kCorrected verdict with a
-          // single real flip is always that flip (genuine); with 3+
-          // flips it is an aliased miscorrection.
-          ++(flips == 1 ? oc->corrected : oc->miscorrected);
-          break;
-        case HsiaoStatus::kDoubleDetected:
-        case HsiaoStatus::kUncorrectable:
-          ++oc->detected_uncorrectable;
-          break;
-      }
+  if (oc != nullptr) {
+    ++oc->reads;
+    switch (st) {
+      case HsiaoStatus::kNoError:
+        ++(flips == 0 ? oc->clean : oc->undetected);
+        break;
+      case HsiaoStatus::kCorrected:
+        // Odd-weight-column property: a kCorrected verdict with a
+        // single real flip is always that flip (genuine); with 3+
+        // flips it is an aliased miscorrection.
+        ++(flips == 1 ? oc->corrected : oc->miscorrected);
+        break;
+      case HsiaoStatus::kDoubleDetected:
+      case HsiaoStatus::kUncorrectable:
+        ++oc->detected_uncorrectable;
+        break;
     }
   }
   return data.get(addr);
 }
 
 bool CodedLut::read_rs(std::uint32_t addr, MaskView mask,
-                       LutAccessStats* stats) const {
+                       obs::CodeLayerCounters* oc) const {
   if (!mask.any()) {
-    return read_unfaulted(addr, stats);
+    return read_unfaulted(addr, oc);
   }
   BitVec& data = t_data;
   BitVec& checks = t_checks;
   const std::size_t flips = load_faulted(mask, data, checks);
   const RsStatus st = rs_->detect_and_correct(data, checks);
-  if (stats != nullptr) {
-    if (st == RsStatus::kCorrected) {
-      ++stats->corrections;
-    } else if (st == RsStatus::kUncorrectable) {
-      ++stats->detected_only;
-    }
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
-      ++oc->reads;
-      switch (st) {
-        case RsStatus::kNoError:
-          ++(flips == 0 ? oc->clean : oc->undetected);
-          break;
-        case RsStatus::kCorrected:
-          // RS can genuinely fix several flips inside one symbol, so
-          // "genuine" is judged by outcome: did the repaired data match
-          // the golden table?
-          ++(data == tt_ ? oc->corrected : oc->miscorrected);
-          break;
-        case RsStatus::kUncorrectable:
-          ++oc->detected_uncorrectable;
-          break;
-      }
+  if (oc != nullptr) {
+    ++oc->reads;
+    switch (st) {
+      case RsStatus::kNoError:
+        ++(flips == 0 ? oc->clean : oc->undetected);
+        break;
+      case RsStatus::kCorrected:
+        // RS can genuinely fix several flips inside one symbol, so
+        // "genuine" is judged by outcome: did the repaired data match
+        // the golden table?
+        ++(data == tt_ ? oc->corrected : oc->miscorrected);
+        break;
+      case RsStatus::kUncorrectable:
+        ++oc->detected_uncorrectable;
+        break;
     }
   }
   return data.get(addr);

@@ -75,20 +75,6 @@ enum class LutCoding : std::uint8_t {
 /// Short Table-2-style suffix for a coding ("n", "h", "s", "hsiao").
 std::string_view lut_coding_suffix(LutCoding c);
 
-/// Counters a coded LUT reports per access; aggregated into the module /
-/// cell error telemetry that ultimately drives the heartbeat signal.
-struct LutAccessStats {
-  std::uint64_t accesses = 0;
-  std::uint64_t corrections = 0;     ///< decoder changed some bit
-  std::uint64_t detected_only = 0;   ///< error seen but not corrected
-  std::uint64_t tmr_disagreements = 0;  ///< TMR copies disagreed on the bit
-
-  /// Optional fault-anatomy sink (not owned). When set, every coded
-  /// read also classifies its outcome against the golden content into
-  /// the per-code counters. Null costs one pointer test per read.
-  obs::Counters* obs = nullptr;
-};
-
 /// The anatomy bucket a LutCoding reports into, or null for kNone /
 /// a null sink (bare tables do no decoding, so no code-layer events).
 obs::CodeLayerCounters* code_layer_of(obs::Counters* sink, LutCoding coding);
@@ -120,9 +106,18 @@ class CodedLut {
 
   /// Reads the LUT output for input vector `addr` under fault overlay
   /// `mask` (must have size fault_sites(); a null view means fault-free).
-  /// `stats` may be null.
+  ///
+  /// `sink` (not owned; null = off) is the fault anatomy: a coded read
+  /// classifies its outcome against the golden content into the
+  /// per-code counters. `tmr_disagreements` (null = off) counts TMR
+  /// reads whose three copies of the addressed bit disagreed — the
+  /// hardware's own detector (§2.3), which the processor cell feeds to
+  /// its error threshold. It is not an anatomy bucket: a read whose
+  /// three copies all flipped is `miscorrected` there, yet the copies
+  /// agree and this count does not move.
   [[nodiscard]] bool read(std::uint32_t addr, MaskView mask,
-                          LutAccessStats* stats = nullptr) const;
+                          obs::Counters* sink = nullptr,
+                          std::uint64_t* tmr_disagreements = nullptr) const;
 
   /// The golden (unfaulted, undecoded) truth table.
   [[nodiscard]] const BitVec& golden_table() const { return tt_; }
@@ -147,19 +142,20 @@ class CodedLut {
   [[nodiscard]] std::size_t tmr_site(std::size_t copy, std::size_t addr) const;
   /// A coded read whose mask hits none of the LUT's sites.
   [[nodiscard]] bool read_unfaulted(std::uint32_t addr,
-                                    LutAccessStats* stats) const;
+                                    obs::CodeLayerCounters* oc) const;
   /// Copies the stored table and check bits into `data` and `checks`
   /// with `mask` overlaid; returns how many mask bits hit them.
   std::size_t load_faulted(MaskView mask, BitVec& data, BitVec& checks) const;
   [[nodiscard]] bool read_none(std::uint32_t addr, MaskView mask) const;
   [[nodiscard]] bool read_tmr(std::uint32_t addr, MaskView mask,
-                              LutAccessStats* stats) const;
+                              obs::CodeLayerCounters* oc,
+                              std::uint64_t* tmr_disagreements) const;
   [[nodiscard]] bool read_hamming(std::uint32_t addr, MaskView mask,
-                                  LutAccessStats* stats) const;
+                                  obs::CodeLayerCounters* oc) const;
   [[nodiscard]] bool read_hsiao(std::uint32_t addr, MaskView mask,
-                                LutAccessStats* stats) const;
+                                obs::CodeLayerCounters* oc) const;
   [[nodiscard]] bool read_rs(std::uint32_t addr, MaskView mask,
-                             LutAccessStats* stats) const;
+                             obs::CodeLayerCounters* oc) const;
 };
 
 /// Stored-bit count a coded LUT of `table_bits` would occupy, without

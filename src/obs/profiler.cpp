@@ -1,62 +1,27 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 
 namespace nbx::obs {
 
-std::size_t DurationHistogram::bucket_of(double seconds) {
-  const double us = seconds * 1e6;
-  if (us < 2.0) return 0;
-  std::size_t b = 0;
-  // log2 of whole microseconds; us < 2^63 always in practice.
-  for (std::uint64_t v = static_cast<std::uint64_t>(us); v > 1; v >>= 1) ++b;
-  return std::min(b, kBuckets - 1);
+StageTimes::StageTimes(const MetricHistogram::Data& us)
+    : count(us.count),
+      total_seconds(us.sum * 1e-6),
+      min_seconds(us.min * 1e-6),
+      max_seconds(us.max * 1e-6),
+      us_(us) {}
+
+double StageTimes::mean_seconds() const {
+  return count == 0 ? 0.0 : total_seconds / static_cast<double>(count);
 }
 
-void DurationHistogram::add(double seconds) {
-  ++buckets[bucket_of(seconds)];
-  if (count == 0 || seconds < min_seconds) min_seconds = seconds;
-  if (count == 0 || seconds > max_seconds) max_seconds = seconds;
-  ++count;
-  total_seconds += seconds;
-}
-
-DurationHistogram& DurationHistogram::operator+=(const DurationHistogram& o) {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += o.buckets[i];
-  if (o.count > 0) {
-    if (count == 0 || o.min_seconds < min_seconds) min_seconds = o.min_seconds;
-    if (count == 0 || o.max_seconds > max_seconds) max_seconds = o.max_seconds;
-  }
-  count += o.count;
-  total_seconds += o.total_seconds;
-  return *this;
-}
-
-double DurationHistogram::quantile_seconds(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const auto b = static_cast<double>(buckets[i]);
-    if (b > 0.0 && cum + b >= target) {
-      // Bucket i spans [2^i, 2^(i+1)) microseconds (bucket 0 starts
-      // at 0); interpolate linearly within it.
-      const double lo_us = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
-      const double hi_us = std::ldexp(1.0, static_cast<int>(i) + 1);
-      const double frac = (target - cum) / b;
-      const double est = (lo_us + frac * (hi_us - lo_us)) * 1e-6;
-      return std::clamp(est, min_seconds, max_seconds);
-    }
-    cum += b;
-  }
-  return max_seconds;
-}
+double StageTimes::p50_seconds() const { return us_.quantile(0.50) * 1e-6; }
+double StageTimes::p95_seconds() const { return us_.quantile(0.95) * 1e-6; }
+double StageTimes::p99_seconds() const { return us_.quantile(0.99) * 1e-6; }
 
 Profiler::Profiler(bool capture_events)
     : capture_events_(capture_events),
@@ -64,11 +29,20 @@ Profiler::Profiler(bool capture_events)
 
 std::size_t Profiler::stage_index(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (stages_[i].name == name) return i;
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return i;
   }
-  stages_.push_back(StageProfile{std::string(name), {}});
-  return stages_.size() - 1;
+  if (names_.size() == kMaxStages) {
+    throw std::length_error("obs::Profiler: more than " +
+                            std::to_string(kMaxStages) + " stages");
+  }
+  // The stage name rides as a label: labels are kept verbatim, so two
+  // names cannot sanitize onto one histogram.
+  MetricHistogram& h =
+      registry_.histogram("stage_duration_us", {{"stage", std::string(name)}});
+  hists_[names_.size()].store(&h, std::memory_order_release);
+  names_.emplace_back(name);
+  return names_.size() - 1;
 }
 
 double Profiler::now_seconds() const {
@@ -88,10 +62,13 @@ std::uint32_t Profiler::tid_of(std::thread::id id) {
 
 void Profiler::record(std::size_t stage, double start_seconds,
                       double dur_seconds) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (stage >= stages_.size()) return;
-  stages_[stage].hist.add(dur_seconds);
+  MetricHistogram* h = stage < kMaxStages
+                           ? hists_[stage].load(std::memory_order_acquire)
+                           : nullptr;
+  if (h == nullptr) return;
+  h->observe(dur_seconds * 1e6);
   if (capture_events_) {
+    const std::lock_guard<std::mutex> lock(mu_);
     events_.push_back(Event{static_cast<std::uint32_t>(stage),
                             tid_of(std::this_thread::get_id()),
                             start_seconds * 1e6, dur_seconds * 1e6});
@@ -100,7 +77,14 @@ void Profiler::record(std::size_t stage, double start_seconds,
 
 std::vector<StageProfile> Profiler::stages() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stages_;
+  std::vector<StageProfile> out;
+  out.reserve(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    out.push_back(StageProfile{
+        names_[i],
+        StageTimes(hists_[i].load(std::memory_order_relaxed)->data())});
+  }
+  return out;
 }
 
 void Profiler::write_summary(std::ostream& os) const {
@@ -125,7 +109,7 @@ void Profiler::write_profile_json(std::ostream& os) const {
   for (const StageProfile& s : snapshot) {
     if (!first) os << ",";
     first = false;
-    const DurationHistogram& h = s.hist;
+    const StageTimes& h = s.hist;
     os << "{\"name\":\"" << json_escape(s.name) << "\",\"count\":" << h.count
        << ",\"total_seconds\":" << json_double(h.total_seconds)
        << ",\"mean_seconds\":" << json_double(h.mean_seconds())
@@ -145,7 +129,7 @@ void Profiler::write_chrome_trace(std::ostream& os) const {
   for (const Event& e : events_) {
     if (!first) os << ",";
     first = false;
-    os << "\n  {\"name\": \"" << json_escape(stages_[e.stage].name)
+    os << "\n  {\"name\": \"" << json_escape(names_[e.stage])
        << "\", \"cat\": \"sweep\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
        << e.tid << ", \"ts\": " << json_double(e.start_us)
        << ", \"dur\": " << json_double(e.dur_us) << "}";

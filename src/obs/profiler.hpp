@@ -2,8 +2,10 @@
 //
 // A Profiler owns a set of named stages ("trial", "lane_group",
 // "fold", ...). Code brackets a region with a ScopedTimer; on scope
-// exit the elapsed time folds into that stage's histogram and,
-// optionally, an event list for Chrome-trace export.
+// exit the elapsed time lands in that stage's histogram and,
+// optionally, an event list for Chrome-trace export. Each stage's
+// histogram is an obs::MetricHistogram of microseconds in a registry
+// the profiler owns, so a sample is one lock-free sharded observe().
 //
 // Timing is inherently nondeterministic — it lives beside, never
 // inside, the deterministic Counters. A null Profiler* is the off
@@ -11,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -21,51 +24,44 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace nbx::obs {
 
-/// Log2-bucketed latency histogram plus the usual summary moments.
-/// Bucket i holds durations in [2^i, 2^(i+1)) microseconds; bucket 0
-/// also absorbs sub-microsecond samples.
-struct DurationHistogram {
-  static constexpr std::size_t kBuckets = 32;
+/// One stage's timings in seconds, read from its histogram.
+class StageTimes {
+ public:
+  /// From a snapshot of a histogram of microseconds.
+  explicit StageTimes(const MetricHistogram::Data& us);
 
-  std::array<std::uint64_t, kBuckets> buckets{};
   std::uint64_t count = 0;
   double total_seconds = 0.0;
   double min_seconds = 0.0;
   double max_seconds = 0.0;
 
-  /// Bucket index for a duration (log2 of whole microseconds, clamped).
-  static std::size_t bucket_of(double seconds);
+  [[nodiscard]] double mean_seconds() const;
+  /// Quantiles interpolated from the log2 buckets (MetricHistogram::
+  /// Data::quantile), clamped to [min, max]; 0 when empty.
+  [[nodiscard]] double p50_seconds() const;
+  [[nodiscard]] double p95_seconds() const;
+  [[nodiscard]] double p99_seconds() const;
 
-  void add(double seconds);
-
-  DurationHistogram& operator+=(const DurationHistogram& o);
-
-  double mean_seconds() const {
-    return count == 0 ? 0.0 : total_seconds / static_cast<double>(count);
-  }
-
-  /// Interpolated quantile (q in [0,1]) in seconds, estimated from the
-  /// log2 microsecond buckets by linear interpolation inside the bucket
-  /// holding the q-th sample, clamped to the observed [min, max]. 0 when
-  /// the histogram is empty.
-  double quantile_seconds(double q) const;
-
-  double p50_seconds() const { return quantile_seconds(0.50); }
-  double p95_seconds() const { return quantile_seconds(0.95); }
-  double p99_seconds() const { return quantile_seconds(0.99); }
+ private:
+  MetricHistogram::Data us_;
 };
 
 /// One named stage and its accumulated timings.
 struct StageProfile {
   std::string name;
-  DurationHistogram hist;
+  StageTimes hist;
 };
 
 /// Thread-safe stage registry + accumulator.
 class Profiler {
  public:
+  /// Most stages one profiler holds; stage_index throws past it.
+  static constexpr std::size_t kMaxStages = 64;
+
   /// With capture_events=true every timed region is also kept as a
   /// discrete event (stage, start, duration, thread) for Chrome-trace
   /// export. Summary histograms are always maintained.
@@ -75,13 +71,14 @@ class Profiler {
   std::size_t stage_index(std::string_view name);
 
   /// Folds one sample into a stage (start_seconds is relative to the
-  /// profiler's construction; used only for event capture).
+  /// profiler's construction; used only for event capture). Lock-free
+  /// unless events are captured.
   void record(std::size_t stage, double start_seconds, double dur_seconds);
 
   /// Seconds since this profiler was constructed.
   double now_seconds() const;
 
-  /// Snapshot of all stages (copy, taken under the lock).
+  /// Snapshot of all stages, in creation order.
   std::vector<StageProfile> stages() const;
 
   /// Human-readable per-stage table: count / total / mean / min / max.
@@ -107,8 +104,11 @@ class Profiler {
     double dur_us;
   };
 
-  mutable std::mutex mu_;
-  std::vector<StageProfile> stages_;
+  MetricsRegistry registry_;  // one histogram per stage
+  /// Stage i's histogram; set once, before stage_index returns i.
+  std::array<std::atomic<MetricHistogram*>, kMaxStages> hists_{};
+  mutable std::mutex mu_;  // names_, tids_, events_
+  std::vector<std::string> names_;
   std::vector<std::pair<std::thread::id, std::uint32_t>> tids_;
   std::vector<Event> events_;
   bool capture_events_;

@@ -23,8 +23,8 @@ void on_signal(int) { g_stop = 1; }
 constexpr const char kUsage[] =
     "Usage: nbxd --socket PATH [flags]\n"
     "  --socket PATH        unix socket to listen on (required)\n"
-    "  --workers N          compute worker threads (default 2)\n"
-    "  --shard-threads N    shard pool width per job (default: workers)\n"
+    "  --workers N          compute worker threads, 1-16; each job also\n"
+    "                       shards over a pool this wide (default 2)\n"
     "  --queue N            max queued jobs before shedding (default 16)\n"
     "  --min-shard N        min sweep items per shard (default 32)\n"
     "  --cache N            max cached responses, FIFO-evicted "
@@ -44,19 +44,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string bad_flags = args.unknown_flag_message(
-      {"socket", "workers", "shard-threads", "queue", "min-shard", "cache",
-       "retry-ms", "registry-out", "quiet", "help"});
+      {"socket", "workers", "queue", "min-shard", "cache", "retry-ms",
+       "registry-out", "quiet", "help"});
   if (!bad_flags.empty()) {
     std::cerr << "nbxd: " << bad_flags << "\n" << kUsage;
     return 2;
   }
-  for (const char* numeric : {"workers", "shard-threads", "queue",
-                              "min-shard", "cache", "retry-ms"}) {
-    const std::string bad = args.invalid_number_message(numeric);
-    if (!bad.empty()) {
-      std::cerr << "nbxd: " << bad << "\n" << kUsage;
-      return 2;
-    }
+  const std::string bad_value = nbx::serve::service_flag_message(args);
+  if (!bad_value.empty()) {
+    std::cerr << "nbxd: " << bad_value << "\n" << kUsage;
+    return 2;
   }
   nbx::serve::ServerConfig cfg;
   cfg.socket_path = args.get("socket");
@@ -66,8 +63,6 @@ int main(int argc, char** argv) {
   }
   cfg.service.workers =
       static_cast<unsigned>(args.get_int("workers", 2));
-  cfg.service.shard_threads =
-      static_cast<unsigned>(args.get_int("shard-threads", 0));
   cfg.service.max_queue =
       static_cast<std::size_t>(args.get_int("queue", 16));
   cfg.service.min_items_per_shard =

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "alu/alu_factory.hpp"
+#include "common/cli.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "workload/image_ops.hpp"
@@ -33,7 +37,42 @@ double elapsed_us(Clock::time_point start) {
 // 1.28 x 10^8 items, ~50 GB of counters.
 constexpr std::size_t kMaxSweepItems = std::size_t{1} << 18;
 
+// Most compute workers a front end accepts: 16 workers run at most
+// 16 x 16 = 256 compute threads. The repo's own clients run 1-3.
+constexpr std::int64_t kMaxWorkers = 16;
+
 }  // namespace
+
+std::string service_flag_message(const CliArgs& args) {
+  struct Bound {
+    const char* flag;
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
+  constexpr Bound kBounds[] = {
+      {"workers", 1, kMaxWorkers},
+      {"queue", 0, kUnbounded},
+      {"min-shard", 0, kUnbounded},
+      {"cache", 0, kUnbounded},
+      {"retry-ms", 0, std::numeric_limits<std::uint32_t>::max()},
+  };
+  for (const Bound& b : kBounds) {
+    if (!args.has(b.flag)) {
+      continue;
+    }
+    const std::optional<std::int64_t> v = args.get_int(b.flag);
+    if (!v.has_value() || *v < b.lo || *v > b.hi) {
+      const std::string want =
+          b.hi == kUnbounded ? ">= " + std::to_string(b.lo)
+                             : "in [" + std::to_string(b.lo) + ", " +
+                                   std::to_string(b.hi) + "]";
+      return std::string("invalid value for --") + b.flag + ": '" +
+             args.get(b.flag) + "' (want an integer " + want + ")";
+    }
+  }
+  return {};
+}
 
 // Monotonic counters behind the public ServiceStats snapshot. Relaxed
 // atomics: each is an independent tally, cross-counter invariants are
@@ -344,8 +383,7 @@ SweepRecord SweepService::compute(const SweepRequest& req) {
   // absolute slots and every cell's seed is a pure function of its
   // coordinates, so any shard count — including 1 — re-merges
   // bit-identically with a direct TrialEngine run.
-  const unsigned pool_threads = resolve_threads(
-      cfg_.shard_threads != 0 ? cfg_.shard_threads : cfg_.workers);
+  const unsigned pool_threads = resolve_threads(cfg_.workers);
   std::size_t shards = 1;
   if (pool_threads > 1 && items >= 2 * cfg_.min_items_per_shard) {
     shards = std::min<std::size_t>(items / cfg_.min_items_per_shard,

@@ -43,6 +43,10 @@
 
 #include "serve/wire.hpp"
 
+namespace nbx {
+class CliArgs;
+}  // namespace nbx
+
 namespace nbx::obs {
 class MetricCounter;
 class MetricGauge;
@@ -53,8 +57,10 @@ namespace nbx::serve {
 
 /// Tuning knobs for one SweepService.
 struct ServiceConfig {
-  unsigned workers = 2;        ///< compute worker threads (>= 1)
-  unsigned shard_threads = 0;  ///< per-job shard pool width; 0 = workers
+  /// Compute worker threads (>= 1). Each worker's job also shards over
+  /// a pool this wide (the worker plus workers - 1 helpers), so a busy
+  /// service runs workers x workers compute threads.
+  unsigned workers = 2;
   std::size_t max_queue = 16;  ///< queued jobs before load-shedding
   /// Minimum items per shard: jobs smaller than two shards' worth run
   /// unsharded (shard bookkeeping would dominate).
@@ -62,6 +68,15 @@ struct ServiceConfig {
   std::size_t max_cache_entries = 4096;  ///< FIFO-evicted beyond this
   std::uint32_t retry_after_ms = 50;     ///< hint in shed responses
 };
+
+/// The exit-2 diagnostic for the ServiceConfig flags a command line
+/// carries (nbxd, bench_serve): --workers must be an integer in
+/// [1, 16]; --queue, --min-shard and --cache integers >= 0;
+/// --retry-ms an integer in [0, 2^32 - 1]. Names the first flag that is
+/// present but unparsable or out of bounds, e.g. "invalid value for
+/// --workers: '-1' (want an integer in [1, 16])". Empty when every one
+/// is absent or valid, after which each casts safely to its field.
+[[nodiscard]] std::string service_flag_message(const CliArgs& args);
 
 /// Monotonic service counters (atomically maintained, always available —
 /// the stats request kind and the integration tests read these even when

@@ -19,8 +19,7 @@ TrialResult run_defect_trial(const IAlu& alu,
     gen.generate(rng, mask);
     alu.impose_defects(chip, mask);
     const AluOutput out = alu.compute(ins.op, ins.a, ins.b,
-                                      MaskView(mask, 0, mask.size()),
-                                      &res.stats);
+                                      MaskView(mask, 0, mask.size()));
     if (out.value != ins.golden) {
       ++res.incorrect;
     }

@@ -51,12 +51,6 @@ TrialResult run_trial(const IAlu& alu,
   }
   TrialResult res;
   res.instructions = stream.size();
-  if (anatomy != nullptr) {
-    // One sink serves both levels: the module wrapper / voter hooks and
-    // the coded-LUT decode hooks beneath them.
-    res.stats.obs = anatomy;
-    res.stats.lut.obs = anatomy;
-  }
   for (const Instruction& ins : stream) {
     // "After each ALU computation, we generate a new fault mask" (§4).
     if (inject_sites == total_sites) {
@@ -84,7 +78,7 @@ TrialResult run_trial(const IAlu& alu,
     }
     const AluOutput out = alu.compute(ins.op, ins.a, ins.b,
                                       MaskView(mask, 0, total_sites),
-                                      &res.stats);
+                                      anatomy);
     const bool wrong = out.value != ins.golden;
     if (wrong) {
       ++res.incorrect;

@@ -70,7 +70,6 @@ struct TrialResult {
   double percent_correct = 0.0;
   std::size_t instructions = 0;
   std::size_t incorrect = 0;
-  ModuleStats stats;
 };
 
 /// Runs one workload through `alu` once, a fresh fault mask per

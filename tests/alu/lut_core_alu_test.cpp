@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
 namespace {
@@ -155,10 +156,10 @@ TEST(LutCoreAlu, IdealHammingMasksAnySingleStoredBitFault) {
 
 TEST(LutCoreAlu, StatsAreAccumulated) {
   const LutCoreAlu alu(LutCoding::kTmr);
-  ModuleStats stats;
-  (void)alu.eval(Opcode::kAdd, 1, 2, MaskView{}, &stats);
+  obs::Counters sink;
+  (void)alu.eval(Opcode::kAdd, 1, 2, MaskView{}, &sink);
   // 4 LUT reads per slice x 8 slices.
-  EXPECT_EQ(stats.lut.accesses, 32u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).reads, 32u);
 }
 
 TEST(LutCoreAlu, FullyCorruptedSelectLutsInvertTheResult) {

@@ -5,6 +5,7 @@
 #include "alu/alu_factory.hpp"
 #include "common/rng.hpp"
 #include "fault/mask_generator.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
 namespace {
@@ -50,12 +51,13 @@ TEST(SpaceRedundantAlu, MasksAFullyInvertedSingleReplica) {
   const std::size_t core = 1536;  // TMR LUT core
   BitVec mask(alu->fault_sites());
   corrupt_replica_select_stage(mask, core, 48);
-  ModuleStats stats;
+  obs::Counters sink;
   const AluOutput out = alu->compute(Opcode::kXor, 0x5A, 0xFF,
-                                     MaskView(mask, 0, mask.size()), &stats);
+                                     MaskView(mask, 0, mask.size()), &sink);
   EXPECT_EQ(out.value, golden_alu(Opcode::kXor, 0x5A, 0xFF));
   EXPECT_TRUE(out.disagreement);
-  EXPECT_EQ(stats.voter_disagreements, 1u);
+  EXPECT_EQ(sink.module_level.votes, 1u);
+  EXPECT_EQ(sink.module_level.copies_outvoted, 1u);
 }
 
 TEST(SpaceRedundantAlu, TwoInvertedReplicasDefeatTheVoter) {
@@ -107,21 +109,26 @@ TEST(TimeRedundantAlu, ValidBitFaultsVoteToInvalid) {
   BitVec mask(alu->fault_sites());
   mask.set(storage + 8, true);   // slot 0 valid bit
   mask.set(storage + 17, true);  // slot 1 valid bit
-  ModuleStats stats;
+  obs::Counters sink;
   const AluOutput out = alu->compute(Opcode::kAnd, 1, 1,
-                                     MaskView(mask, 0, mask.size()), &stats);
+                                     MaskView(mask, 0, mask.size()), &sink);
   EXPECT_FALSE(out.valid);  // two of three valid flags lost
-  EXPECT_EQ(stats.invalid_results, 1u);
+  EXPECT_EQ(sink.module_level.storage_faults, 2u);
   EXPECT_EQ(out.value, golden_alu(Opcode::kAnd, 1, 1));  // data unaffected
 }
 
 TEST(ModuleAlu, StatsComputationsCount) {
+  // One sink sees every layer of every computation: aluss votes once
+  // per computation over three cores of 32 TMR LUT reads each, plus the
+  // voter's nine TMR LUT reads.
   const auto alu = make_alu("aluss");
-  ModuleStats stats;
+  obs::Counters sink;
   for (int i = 0; i < 5; ++i) {
-    (void)alu->compute(Opcode::kAdd, 1, 2, MaskView{}, &stats);
+    (void)alu->compute(Opcode::kAdd, 1, 2, MaskView{}, &sink);
   }
-  EXPECT_EQ(stats.computations, 5u);
+  EXPECT_EQ(sink.module_level.votes, 5u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).reads, 5u * (3 * 32 + 9));
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).clean, 5u * (3 * 32 + 9));
 }
 
 TEST(ModuleAlu, RandomizedAgreementAcrossModuleLevelsWhenFaultFree) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/counters.hpp"
+
 namespace nbx {
 namespace {
 
@@ -109,11 +111,14 @@ TEST(CmosVoter, ErrorLineFaultCanFalselyReportDisagreement) {
 
 TEST(VoterStats, DisagreementsCounted) {
   const LutVoter voter(LutCoding::kNone);
-  ModuleStats stats;
-  (void)voter.vote({1, 1, 1, true, true, true}, MaskView{}, &stats);
-  EXPECT_EQ(stats.voter_disagreements, 0u);
-  (void)voter.vote({1, 1, 2, true, true, true}, MaskView{}, &stats);
-  EXPECT_EQ(stats.voter_disagreements, 1u);
+  obs::Counters sink;
+  (void)voter.vote({1, 1, 1, true, true, true}, MaskView{}, &sink);
+  EXPECT_EQ(sink.module_level.votes, 1u);
+  EXPECT_EQ(sink.module_level.copies_outvoted, 0u);
+  (void)voter.vote({1, 1, 2, true, true, true}, MaskView{}, &sink);
+  EXPECT_EQ(sink.module_level.votes, 2u);
+  EXPECT_EQ(sink.module_level.copies_outvoted, 1u);
+  EXPECT_EQ(sink.module_level.voter_self_faults, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "lut/truth_table.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
 namespace {
@@ -86,9 +87,12 @@ TEST(CodedLut, TmrTwoCopiesOfSameBitOverrule) {
   BitVec mask(48);
   mask.set(addr, true);        // copy 0
   mask.set(16 + addr, true);   // copy 1
-  LutAccessStats stats;
-  EXPECT_EQ(lut.read(addr, MaskView(mask, 0, 48), &stats), !tt.get(addr));
-  EXPECT_EQ(stats.tmr_disagreements, 1u);
+  obs::Counters sink;
+  std::uint64_t disagreements = 0;
+  EXPECT_EQ(lut.read(addr, MaskView(mask, 0, 48), &sink, &disagreements),
+            !tt.get(addr));
+  EXPECT_EQ(disagreements, 1u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).miscorrected, 1u);
 }
 
 TEST(CodedLut, TmrDisagreementCountedButMasked) {
@@ -96,10 +100,43 @@ TEST(CodedLut, TmrDisagreementCountedButMasked) {
   const CodedLut lut(BitVec(tt), LutCoding::kTmr);
   BitVec mask(48);
   mask.set(3, true);  // single copy of addr 3
-  LutAccessStats stats;
-  EXPECT_EQ(lut.read(3, MaskView(mask, 0, 48), &stats), tt.get(3));
-  EXPECT_EQ(stats.tmr_disagreements, 1u);
-  EXPECT_EQ(stats.accesses, 1u);
+  obs::Counters sink;
+  std::uint64_t disagreements = 0;
+  EXPECT_EQ(lut.read(3, MaskView(mask, 0, 48), &sink, &disagreements),
+            tt.get(3));
+  EXPECT_EQ(disagreements, 1u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).reads, 1u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kTmr).corrected, 1u);
+}
+
+TEST(CodedLut, TmrThreeFlippedCopiesAgreeOnTheWrongBit) {
+  // The disagreement count is the hardware's detector, not the anatomy:
+  // when every copy of the addressed entry flips, the copies agree, the
+  // vote returns the wrong bit, and the detector stays silent. Only the
+  // golden-aware anatomy sees it, as a miscorrection.
+  const BitVec tt = random_tt(4, 21);
+  for (const LutCoding coding :
+       {LutCoding::kTmr, LutCoding::kTmrInterleaved}) {
+    const CodedLut lut(BitVec(tt), coding);
+    const std::uint32_t addr = 9;
+    const std::size_t copies[3] = {
+        coding == LutCoding::kTmr ? addr : addr * 3,
+        coding == LutCoding::kTmr ? 16 + addr : addr * 3 + 1,
+        coding == LutCoding::kTmr ? 32 + addr : addr * 3 + 2};
+    BitVec mask(48);
+    for (const std::size_t site : copies) {
+      mask.set(site, true);
+    }
+    obs::Counters sink;
+    std::uint64_t disagreements = 0;
+    EXPECT_EQ(lut.read(addr, MaskView(mask, 0, 48), &sink, &disagreements),
+              !tt.get(addr))
+        << lut_coding_suffix(coding);
+    EXPECT_EQ(disagreements, 0u) << lut_coding_suffix(coding);
+    const obs::CodeLayerCounters& tmr = sink.at(obs::CodeLayer::kTmr);
+    EXPECT_EQ(tmr.reads, 1u) << lut_coding_suffix(coding);
+    EXPECT_EQ(tmr.miscorrected, 1u) << lut_coding_suffix(coding);
+  }
 }
 
 TEST(CodedLut, HammingCorrectsSingleDataBitFaults) {
@@ -159,9 +196,10 @@ TEST(CodedLut, HammingStatsCountCorrections) {
   const CodedLut lut(BitVec(tt), LutCoding::kHamming);
   BitVec mask(lut.fault_sites());
   mask.set(7, true);
-  LutAccessStats stats;
-  (void)lut.read(0, MaskView(mask, 0, mask.size()), &stats);
-  EXPECT_EQ(stats.corrections, 1u);
+  obs::Counters sink;
+  (void)lut.read(0, MaskView(mask, 0, mask.size()), &sink);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kHamming).reads, 1u);
+  EXPECT_EQ(sink.at(obs::CodeLayer::kHamming).corrected, 1u);
 }
 
 TEST(CodedLut, HammingDoubleFaultCanCorruptUnfaultedAddressedBit) {

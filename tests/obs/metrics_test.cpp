@@ -228,6 +228,12 @@ TEST(Metrics, HistogramQuantilesAreMonotonicAndClamped) {
   EXPECT_GT(p50, 250.0);
   EXPECT_LT(p50, 1000.0);
   EXPECT_GT(p99, 500.0);
+
+  // A single observation: min == max clamps every quantile onto it.
+  MetricHistogram& one = reg.histogram("one");
+  one.observe(5000.0);
+  EXPECT_DOUBLE_EQ(one.data().quantile(0.50), 5000.0);
+  EXPECT_DOUBLE_EQ(one.data().quantile(0.99), 5000.0);
 }
 
 TEST(Metrics, JsonIsOneParsableLine) {

@@ -1,8 +1,12 @@
-// profiler_test.cpp — stage profiler, histogram, and progress reporter.
+// profiler_test.cpp — stage profiler and progress reporter. The stage
+// histograms are obs::MetricHistogram; metrics_test.cpp covers their
+// buckets, moments and quantiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,69 +15,6 @@
 
 namespace nbx::obs {
 namespace {
-
-TEST(DurationHistogramTest, BucketsAreLog2Microseconds) {
-  EXPECT_EQ(DurationHistogram::bucket_of(0.0), 0u);
-  EXPECT_EQ(DurationHistogram::bucket_of(1e-9), 0u);   // sub-µs
-  EXPECT_EQ(DurationHistogram::bucket_of(1e-6), 0u);   // 1 µs
-  EXPECT_EQ(DurationHistogram::bucket_of(2e-6), 1u);   // 2 µs
-  EXPECT_EQ(DurationHistogram::bucket_of(5e-6), 2u);   // 5 µs
-  EXPECT_EQ(DurationHistogram::bucket_of(1024e-6), 10u);
-  EXPECT_EQ(DurationHistogram::bucket_of(1.0), 19u);   // 1 s = 2^19.9 µs
-  // Huge values clamp into the last bucket instead of overflowing.
-  EXPECT_EQ(DurationHistogram::bucket_of(1e10), DurationHistogram::kBuckets - 1);
-}
-
-TEST(DurationHistogramTest, AddAndMergeTrackMoments) {
-  DurationHistogram h;
-  h.add(0.001);
-  h.add(0.003);
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_DOUBLE_EQ(h.total_seconds, 0.004);
-  EXPECT_DOUBLE_EQ(h.mean_seconds(), 0.002);
-  EXPECT_DOUBLE_EQ(h.min_seconds, 0.001);
-  EXPECT_DOUBLE_EQ(h.max_seconds, 0.003);
-
-  DurationHistogram other;
-  other.add(0.0001);
-  h += other;
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.min_seconds, 0.0001);
-  EXPECT_DOUBLE_EQ(h.max_seconds, 0.003);
-
-  // Merging an empty histogram changes nothing.
-  const DurationHistogram before = h;
-  h += DurationHistogram{};
-  EXPECT_EQ(h.count, before.count);
-  EXPECT_DOUBLE_EQ(h.min_seconds, before.min_seconds);
-}
-
-TEST(DurationHistogramTest, QuantilesAreOrderedAndClamped) {
-  DurationHistogram h;
-  EXPECT_DOUBLE_EQ(h.quantile_seconds(0.5), 0.0) << "empty -> 0";
-  // 100 observations spread over [100µs, 10ms).
-  for (int i = 0; i < 100; ++i) {
-    h.add(100e-6 + i * 99e-6);
-  }
-  const double p50 = h.p50_seconds();
-  const double p95 = h.p95_seconds();
-  const double p99 = h.p99_seconds();
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, h.min_seconds);
-  EXPECT_LE(p99, h.max_seconds);
-  // Log2-bucket interpolation: p50 lands in the right half-decade.
-  EXPECT_GT(p50, 1e-3);
-  EXPECT_LT(p50, 10e-3);
-}
-
-TEST(DurationHistogramTest, SingleObservationQuantilesCollapse) {
-  DurationHistogram h;
-  h.add(0.005);
-  // min == max clamps every quantile onto the only observation.
-  EXPECT_DOUBLE_EQ(h.p50_seconds(), 0.005);
-  EXPECT_DOUBLE_EQ(h.p99_seconds(), 0.005);
-}
 
 TEST(ProfilerTest, ProfileJsonCarriesQuantiles) {
   Profiler prof;
@@ -109,12 +50,32 @@ TEST(ProfilerTest, StagesAreCreatedOnceAndAccumulate) {
   EXPECT_EQ(stages[a].name, "trial");
   EXPECT_EQ(stages[a].hist.count, 2u);
   EXPECT_DOUBLE_EQ(stages[a].hist.total_seconds, 0.006);
+  EXPECT_DOUBLE_EQ(stages[a].hist.mean_seconds(), 0.003);
+  EXPECT_DOUBLE_EQ(stages[a].hist.min_seconds, 0.002);
+  EXPECT_DOUBLE_EQ(stages[a].hist.max_seconds, 0.004);
   EXPECT_EQ(stages[b].hist.count, 1u);
+  // One sample: every quantile is that sample.
+  EXPECT_DOUBLE_EQ(stages[b].hist.p50_seconds(), 0.001);
+  EXPECT_DOUBLE_EQ(stages[b].hist.p99_seconds(), 0.001);
 
   std::ostringstream os;
   prof.write_summary(os);
   EXPECT_NE(os.str().find("trial"), std::string::npos);
   EXPECT_NE(os.str().find("fold"), std::string::npos);
+}
+
+TEST(ProfilerTest, StageCountIsCappedAndStrayIndicesAreIgnored) {
+  Profiler prof;
+  for (std::size_t i = 0; i < Profiler::kMaxStages; ++i) {
+    EXPECT_EQ(prof.stage_index("s" + std::to_string(i)), i);
+  }
+  EXPECT_THROW((void)prof.stage_index("one_too_many"), std::length_error);
+  EXPECT_EQ(prof.stage_index("s0"), 0u);  // existing names still resolve
+  prof.record(Profiler::kMaxStages, 0.0, 1.0);
+  prof.record(Profiler::kMaxStages + 7, 0.0, 1.0);
+  for (const StageProfile& s : prof.stages()) {
+    EXPECT_EQ(s.hist.count, 0u) << s.name;
+  }
 }
 
 TEST(ProfilerTest, ScopedTimerIsInertOnNullAndRecordsOtherwise) {
@@ -148,20 +109,32 @@ TEST(ProfilerTest, ChromeTraceListsCapturedEvents) {
 }
 
 TEST(ProfilerTest, ConcurrentRecordsAllLand) {
+  // Records into a shared stage race with other threads creating and
+  // recording into stages of their own.
   Profiler prof;
   const std::size_t stage = prof.stage_index("trial");
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&prof, stage] {
+    workers.emplace_back([&prof, stage, t] {
+      const std::size_t own = prof.stage_index("worker" + std::to_string(t));
       for (int i = 0; i < 100; ++i) {
         prof.record(stage, 0.0, 1e-6);
+        prof.record(own, 0.0, 2e-6);
       }
     });
   }
   for (auto& w : workers) {
     w.join();
   }
-  EXPECT_EQ(prof.stages()[stage].hist.count, 400u);
+  const std::vector<StageProfile> stages = prof.stages();
+  ASSERT_EQ(stages.size(), 5u);
+  EXPECT_EQ(stages[stage].hist.count, 400u);
+  for (const StageProfile& s : stages) {
+    if (s.name != "trial") {
+      EXPECT_EQ(s.hist.count, 100u) << s.name;
+      EXPECT_DOUBLE_EQ(s.hist.total_seconds, 100 * 2e-6) << s.name;
+    }
+  }
 }
 
 TEST(ProgressReporterTest, ReportsPointsAndFinishes) {

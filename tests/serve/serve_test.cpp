@@ -33,10 +33,12 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alu/alu_factory.hpp"
 #include "check/json_value.hpp"
+#include "common/cli.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -369,6 +371,45 @@ TEST(ServeSmoke, CacheSurvivesReconnectsWithinOneDaemon) {
   EXPECT_EQ(stats.jobs_computed, 1u);
   EXPECT_EQ(stats.hits, 1u);
   server.stop();
+}
+
+std::string flag_message_for(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "nbxd");
+  return service_flag_message(
+      CliArgs(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(ServiceFlags, CountsOutOfBoundsNameTheFlagAndItsValue) {
+  // A count cast straight to its unsigned field turns -1 into billions:
+  // --workers -1 would start 2^32 - 1 threads, --queue/--cache -1 would
+  // never shed or evict. Every one is refused before any cast.
+  const std::vector<std::pair<const char*, std::vector<const char*>>> bad =
+      {{"workers", {"-1", "0", "17", "4294967295", "two", "1.5"}},
+       {"queue", {"-1", "x"}},
+       {"min-shard", {"-1"}},
+       {"cache", {"-1", "-4096"}},
+       {"retry-ms", {"-1", "4294967296"}}};
+  for (const auto& [flag, values] : bad) {
+    for (const char* v : values) {
+      const std::string f = std::string("--") + flag;
+      const std::string msg = flag_message_for({f.c_str(), v});
+      EXPECT_NE(msg.find(f), std::string::npos) << flag << " " << v;
+      EXPECT_NE(msg.find(std::string("'") + v + "'"), std::string::npos)
+          << msg;
+    }
+  }
+  EXPECT_EQ(flag_message_for({}), "");
+  EXPECT_EQ(flag_message_for({"--workers", "1", "--queue", "0", "--cache",
+                              "0", "--min-shard", "0", "--retry-ms", "0"}),
+            "");
+  EXPECT_EQ(flag_message_for({"--workers", "16", "--queue", "1000000",
+                              "--retry-ms", "4294967295"}),
+            "");
+  // The first offender is the one named.
+  const std::string both = flag_message_for({"--workers", "99", "--queue",
+                                             "-1"});
+  EXPECT_NE(both.find("--workers"), std::string::npos) << both;
+  EXPECT_EQ(both.find("--queue"), std::string::npos) << both;
 }
 
 TEST(ServeAdmission, OverBudgetSpecIsRefusedAndTheServiceStillAnswers) {

@@ -6,6 +6,7 @@
 
 #include "alu/alu_factory.hpp"
 #include "fault/sweep.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
 namespace {
@@ -123,10 +124,13 @@ TEST(Experiment, StatsTelemetryFlowsThrough) {
   Rng rng(5);
   TrialConfig cfg;
   cfg.fault_percent = 5.0;
-  const TrialResult r = run_trial(*alu, streams[0], cfg, rng);
-  EXPECT_EQ(r.stats.computations, 64u);
-  EXPECT_GT(r.stats.lut.accesses, 0u);
-  EXPECT_GT(r.stats.lut.tmr_disagreements, 0u);
+  obs::Counters sink;
+  const TrialResult r = run_trial(*alu, streams[0], cfg, rng, &sink);
+  EXPECT_EQ(r.instructions, 64u);
+  EXPECT_EQ(sink.injection.masks_generated, 64u);
+  EXPECT_EQ(sink.end_to_end.instructions, 64u);
+  EXPECT_GT(sink.at(obs::CodeLayer::kTmr).reads, 0u);
+  EXPECT_GT(sink.at(obs::CodeLayer::kTmr).corrected, 0u);
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ class UnknownCore : public CoreAlu {
  public:
   [[nodiscard]] std::size_t fault_sites() const override { return 8; }
   [[nodiscard]] std::uint8_t eval(Opcode, std::uint8_t a, std::uint8_t,
-                                  MaskView, ModuleStats*) const override {
+                                  MaskView, obs::Counters*) const override {
     return a;
   }
 };
