@@ -12,7 +12,7 @@
 
 #include "alu/alu_factory.hpp"
 #include "alu/hw_core_alu.hpp"
-#include "alu/nanobox_tables.hpp"
+#include "alu/slice_plan.hpp"
 #include "bench/bench_cli.hpp"
 #include "common/rng.hpp"
 #include "lut/coded_lut.hpp"

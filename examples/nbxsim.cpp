@@ -9,12 +9,16 @@
 //          [--burst 4] [--trials 5]
 //   nbxsim --alu aluts --defects 0.01 [--percent 0] [--chips 10]
 //   nbxsim --figure 7|8|9 [--trials 5]
+#include <cstdint>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "alu/alu_factory.hpp"
 #include "common/cli.hpp"
 #include "fault/fit.hpp"
 #include "fault/sweep.hpp"
+#include "serve/wire.hpp"
 #include "sim/experiment.hpp"
 #include "sim/figure.hpp"
 #include "sim/table_render.hpp"
@@ -36,17 +40,37 @@ int usage(const std::string& program) {
   return 2;
 }
 
-FaultCountPolicy parse_policy(const std::string& s) {
-  if (s == "floor") {
-    return FaultCountPolicy::kFloor;
+/// Diagnostic for a --policy, --burst, --chips or --defects value this
+/// front end cannot run, or empty. The policy names and the burst range
+/// are nbxd's wire format's (serve/wire.hpp).
+std::string nbxsim_flag_message(const CliArgs& args) {
+  if (args.has("policy") &&
+      !serve::policy_from_name(args.get("policy")).has_value()) {
+    return "unknown --policy '" + args.get("policy") +
+           "' (want round, floor, bernoulli or burst)";
   }
-  if (s == "bernoulli") {
-    return FaultCountPolicy::kBernoulli;
+  if (args.has("burst")) {
+    const std::optional<std::int64_t> l = args.get_int("burst");
+    if (!l.has_value() || *l < 1 || *l > 64) {
+      return "invalid value for --burst: '" + args.get("burst") +
+             "' (want an integer in [1, 64])";
+    }
   }
-  if (s == "burst") {
-    return FaultCountPolicy::kBurst;
+  if (args.has("chips")) {
+    const std::optional<std::int64_t> n = args.get_int("chips");
+    if (!n.has_value() || *n < 1) {
+      return "invalid value for --chips: '" + args.get("chips") +
+             "' (want an integer >= 1)";
+    }
   }
-  return FaultCountPolicy::kRoundNearest;
+  if (args.has("defects")) {
+    const std::optional<double> d = args.get_double("defects");
+    if (!d.has_value() || !(*d >= 0.0 && *d <= 1.0)) {
+      return "invalid value for --defects: '" + args.get("defects") +
+             "' (want a number in [0, 1])";
+    }
+  }
+  return {};
 }
 
 int run_list() {
@@ -78,7 +102,10 @@ int main(int argc, char** argv) {
     std::cerr << bad_flags << "\n";
     return usage(args.program());
   }
-  const std::string bad_value = sweep_flag_message(args);
+  std::string bad_value = sweep_flag_message(args);
+  if (bad_value.empty()) {
+    bad_value = nbxsim_flag_message(args);
+  }
   if (!bad_value.empty()) {
     std::cerr << bad_value << "\n";
     return usage(args.program());
@@ -122,7 +149,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const FaultCountPolicy policy = parse_policy(args.get("policy", "round"));
+  const FaultCountPolicy policy =
+      *serve::policy_from_name(args.get("policy", "round"));
   const auto burst = static_cast<std::size_t>(args.get_int("burst", 1));
   const TrialEngine engine;
   SweepSpec spec;

@@ -10,6 +10,11 @@
 #     only an assert that NDEBUG drops guards the range: a run at 150%
 #     would draw no fault and report "100.00% correct", and a negative
 #     trial count aborts.
+#   * nbxsim's own flags — a --policy name nbxd's wire format knows
+#     (serve/wire.hpp's policy_from_name), a --burst in the wire's
+#     [1, 64], --chips >= 1 and a --defects density in [0, 1]. An
+#     unknown policy used to run round-nearest, and --chips 0 printed
+#     "0.00% correct ... 0 chips".
 #   * nbxd and bench_serve — serve/service.hpp's service_flag_message:
 #     --workers in [1, 16], and no negative count. Cast straight to
 #     unsigned, --workers -1 asks for 2^32 - 1 threads, and nbxd's
@@ -53,6 +58,15 @@ for p in 150 -5 nan inf abc; do
 done
 for t in 0 -1 1000001 x; do
   expect_rejected trials "${nbxsim}" --alu aluns --trials "${t}"
+done
+expect_rejected policy "${nbxsim}" --alu aluss --percent 2 --policy bogus
+for l in 0 65; do
+  expect_rejected burst "${nbxsim}" --alu aluss --percent 2 \
+    --policy burst --burst "${l}"
+done
+expect_rejected chips "${nbxsim}" --alu aluts --defects 0.01 --chips 0
+for d in 1.5 -0.5 nan; do
+  expect_rejected defects "${nbxsim}" --alu aluts --defects "${d}"
 done
 expect_rejected percent "${bench_simd}" --smoke --percent 150
 expect_rejected trials "${bench_simd}" --smoke --trials 0

@@ -109,9 +109,8 @@ struct ScalarModuleExec {
   }
 
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
-    const MaskView m =
-        mask.is_null() ? MaskView{} : mask.subview(offset, core_sites());
-    r = cores[core]->eval(op, a, b, m, sink);
+    r = cores[core]->eval(op, a, b, mask.subview(offset, core_sites()),
+                          sink);
   }
 
   void absorb_stored(Result& r, Valid& v, std::size_t slot) {
@@ -135,11 +134,9 @@ struct ScalarModuleExec {
   }
 
   void vote(const Result r[3], const Valid v[3], std::size_t voter_off) {
-    const MaskView vm =
-        mask.is_null() ? MaskView{}
-                       : mask.subview(voter_off, voter->fault_sites());
-    const VoteOutput o = voter->vote(
-        VoteInput{r[0], r[1], r[2], v[0], v[1], v[2]}, vm, sink);
+    const VoteOutput o =
+        voter->vote(VoteInput{r[0], r[1], r[2], v[0], v[1], v[2]},
+                    mask.subview(voter_off, voter->fault_sites()), sink);
     out = AluOutput{o.value, o.valid, o.disagreement};
   }
 

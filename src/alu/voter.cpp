@@ -33,17 +33,12 @@ void account_vote(obs::ModuleLayerCounters& m, const VoteInput& in,
 }  // namespace
 
 LutVoter::LutVoter(LutCoding coding) : coding_(coding) {
-  luts_.reserve(kLutCount);
-  offsets_.reserve(kLutCount);
-  std::size_t off = 0;
+  block_.reserve(kLutCount);
   for (std::size_t i = 0; i < kLutCount; ++i) {
     // All nine LUTs hold the 3-input majority function padded to four
     // inputs (input 3 tied to constant zero).
-    luts_.emplace_back(tt_majority3(4), coding_);
-    offsets_.push_back(off);
-    off += luts_.back().fault_sites();
+    block_.emplace_back(tt_majority3(4), coding_);
   }
-  sites_ = off;
 }
 
 VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
@@ -55,35 +50,18 @@ VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
     const std::uint32_t addr = (((in.x >> i) & 1u) ? 1u : 0u) |
                                (((in.y >> i) & 1u) ? 2u : 0u) |
                                (((in.z >> i) & 1u) ? 4u : 0u);
-    const MaskView m = mask.is_null()
-                           ? MaskView{}
-                           : mask.subview(offsets_[i], luts_[i].fault_sites());
-    if (luts_[i].read(addr, m, sink)) {
+    if (block_.lut(i).read(addr, block_.window(mask, i), sink)) {
       out.value |= static_cast<std::uint8_t>(1u << i);
     }
   }
   const std::uint32_t vaddr =
       (in.vx ? 1u : 0u) | (in.vy ? 2u : 0u) | (in.vz ? 4u : 0u);
-  const MaskView vm = mask.is_null()
-                          ? MaskView{}
-                          : mask.subview(offsets_[8], luts_[8].fault_sites());
-  out.valid = luts_[8].read(vaddr, vm, sink);
+  out.valid = block_.lut(8).read(vaddr, block_.window(mask, 8), sink);
   if (sink != nullptr) {
     account_vote(sink->module_level, in, out.value,
                  out.valid != majority3(in.vx, in.vy, in.vz));
   }
   return out;
-}
-
-BitVec LutVoter::golden_storage() const {
-  BitVec bits(sites_);
-  for (std::size_t i = 0; i < luts_.size(); ++i) {
-    const BitVec stored = luts_[i].stored_bits();
-    for (std::size_t b = 0; b < stored.size(); ++b) {
-      bits.set(offsets_[i] + b, stored.get(b));
-    }
-  }
-  return bits;
 }
 
 CmosVoter::CmosVoter() {

@@ -18,11 +18,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "alu/alu_iface.hpp"
 #include "gatesim/netlist.hpp"
 #include "lut/coded_lut.hpp"
+#include "lut/lut_block.hpp"
 
 namespace nbx {
 
@@ -69,29 +69,26 @@ class LutVoter : public IVoter {
   explicit LutVoter(LutCoding coding);
 
   [[nodiscard]] LutCoding coding() const { return coding_; }
-  [[nodiscard]] std::size_t fault_sites() const override { return sites_; }
+  [[nodiscard]] std::size_t fault_sites() const override {
+    return block_.fault_sites();
+  }
 
   [[nodiscard]] VoteOutput vote(const VoteInput& in, MaskView mask,
                                 obs::Counters* sink) const override;
 
-  [[nodiscard]] BitVec golden_storage() const override;
+  [[nodiscard]] BitVec golden_storage() const override {
+    return block_.golden_storage();
+  }
 
   static constexpr std::size_t kLutCount = 9;
 
-  /// The underlying LUTs and their site offsets (bit-majority LUTs 0..7,
-  /// valid-majority LUT 8), for the batched engine's mirror.
-  [[nodiscard]] const CodedLut& lut_at(std::size_t i) const {
-    return luts_[i];
-  }
-  [[nodiscard]] std::size_t lut_offset(std::size_t i) const {
-    return offsets_[i];
-  }
+  /// The LUTs (bit-majority LUTs 0..7, valid-majority LUT 8), for the
+  /// wide engine's mirror.
+  [[nodiscard]] const LutBlock<CodedLut>& block() const { return block_; }
 
  private:
   LutCoding coding_;
-  std::vector<CodedLut> luts_;        // 8 bit-majority + 1 valid-majority
-  std::vector<std::size_t> offsets_;  // site offset per LUT
-  std::size_t sites_;
+  LutBlock<CodedLut> block_;
 };
 
 /// Gate-level voter for the CMOS module ALUs (81 nodes).

@@ -7,18 +7,18 @@
 // state, so *per-instruction* fault exposure grows linearly with W and
 // reliability falls with word size — quantified by bench_width.
 //
-// WideLutAlu generalizes LutCoreAlu's slice structure to any W in
-// [1, 32] (operands/results in uint32). It is a standalone analysis
-// datapath, deliberately outside the 8-bit IAlu hierarchy that mirrors
-// the paper's Table 2.
+// WideLutAlu runs LutCoreAlu's slice plan (alu/slice_plan.hpp) over any
+// W in [1, 32] slices (operands/results in uint32). It is a standalone
+// analysis datapath, deliberately outside the 8-bit IAlu hierarchy that
+// mirrors the paper's Table 2.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 #include "fault/mask_view.hpp"
 #include "lut/coded_lut.hpp"
+#include "lut/lut_block.hpp"
 
 namespace nbx {
 
@@ -30,7 +30,9 @@ class WideLutAlu {
 
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] LutCoding coding() const { return coding_; }
-  [[nodiscard]] std::size_t fault_sites() const { return sites_; }
+  [[nodiscard]] std::size_t fault_sites() const {
+    return block_.fault_sites();
+  }
 
   /// Result mask for this width (e.g. 0xFFFF for W=16).
   [[nodiscard]] std::uint32_t value_mask() const;
@@ -47,13 +49,9 @@ class WideLutAlu {
                                      std::uint32_t b) const;
 
  private:
-  enum Role : std::size_t { kLogic = 0, kSum = 1, kCarry = 2, kSelect = 3 };
-
   std::size_t width_;
   LutCoding coding_;
-  std::vector<CodedLut> luts_;        // width x 4, slice-major
-  std::vector<std::size_t> offsets_;  // site offset per LUT
-  std::size_t sites_;
+  LutBlock<CodedLut> block_;  // width x 4, slice-major
 };
 
 }  // namespace nbx

@@ -53,25 +53,19 @@ BitVec tt_lt_update() {
 ControlLogic::ControlLogic(LutCoding coding, double fault_percent,
                            std::uint64_t seed)
     : gen_(0, 0.0), rng_(seed) {
-  luts_.emplace_back(tt_majority3(4), coding);  // data-valid vote
-  luts_.emplace_back(tt_majority3(4), coding);  // to-be-computed vote
-  luts_.emplace_back(tt_gt_update(), coding);   // comparator greater
-  luts_.emplace_back(tt_lt_update(), coding);   // comparator less
-  std::size_t off = 0;
-  for (const CodedLut& l : luts_) {
-    offsets_.push_back(off);
-    off += l.fault_sites();
-  }
-  sites_ = off;
-  gen_ = MaskGenerator(sites_, fault_percent);
-  mask_ = BitVec(sites_);
+  block_.emplace_back(tt_majority3(4), coding);  // data-valid vote
+  block_.emplace_back(tt_majority3(4), coding);  // to-be-computed vote
+  block_.emplace_back(tt_gt_update(), coding);   // comparator greater
+  block_.emplace_back(tt_lt_update(), coding);   // comparator less
+  gen_ = MaskGenerator(block_.fault_sites(), fault_percent);
+  mask_ = BitVec(block_.fault_sites());
 }
 
 void ControlLogic::fresh_mask() { gen_.generate(rng_, mask_); }
 
 bool ControlLogic::read_lut(std::size_t idx, std::uint32_t addr) {
-  const MaskView m(mask_, offsets_[idx], luts_[idx].fault_sites());
-  return luts_[idx].read(addr, m);
+  const MaskView all(mask_, 0, mask_.size());
+  return block_.lut(idx).read(addr, block_.window(all, idx));
 }
 
 bool ControlLogic::vote_field(const std::array<bool, 3>& field) {

@@ -15,13 +15,13 @@
 #include <array>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "cell/memory_word.hpp"
 #include "cell/packet.hpp"
 #include "common/rng.hpp"
 #include "fault/mask_generator.hpp"
 #include "lut/coded_lut.hpp"
+#include "lut/lut_block.hpp"
 
 namespace nbx {
 
@@ -70,13 +70,13 @@ class ControlLogic {
   }
 
   /// Total control-LUT fault sites.
-  [[nodiscard]] std::size_t fault_sites() const { return sites_; }
+  [[nodiscard]] std::size_t fault_sites() const {
+    return block_.fault_sites();
+  }
 
  private:
-  std::vector<CodedLut> luts_;  // [0] valid vote, [1] pending vote,
-                                // [2] cmp greater, [3] cmp less
-  std::vector<std::size_t> offsets_;
-  std::size_t sites_ = 0;
+  LutBlock<CodedLut> block_;  // [0] valid vote, [1] pending vote,
+                              // [2] cmp greater, [3] cmp less
   MaskGenerator gen_;
   Rng rng_;
   BitVec mask_;

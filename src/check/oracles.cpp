@@ -168,10 +168,12 @@ struct BackendCase {
   unsigned threads = 2;  // pool width of every threaded pass
 };
 
-/// A case costs what its three scalar passes cost (the wide engine runs
-/// most trials two orders of magnitude faster). A scalar trial takes 2-6
-/// ms on the hw read path, which the wide engine also runs per lane, and
-/// 1.7-2.6 ms for coded LUTs in a redundant module; the rest under 1.3.
+/// A case costs what its three scalar passes cost: the wide engine runs
+/// every ALU word-parallel, the gate-level hw read path included, one
+/// to two orders of magnitude faster. At 2% a scalar trial takes ~0.9
+/// ms (alunhw) and ~2.7 ms (alushw, aluthw) on the hw read path and
+/// 0.35-0.5 ms for coded LUTs in a redundant module; the rest ~0.1 ms
+/// (bench_simd's scalar engine, 16 trials, 4-vCPU AVX-512 host).
 bool slow_scalar_trials(const AluSpec& s) {
   const bool coded = s.bit == BitLevel::kHamming ||
                      s.bit == BitLevel::kHsiao ||
@@ -208,7 +210,8 @@ BackendCase generate_backend_case(Gen& g) {
   // Only a cheap case sweeps several percents: multi-word groups, the hw
   // ALUs and wear-out ramps carry one. The hw cases also stay at 1..4
   // trials, so no case costs more than a few tenths of a second (a fixed
-  // SimdTier test covers the hw bridge across a lane-word boundary).
+  // SimdTier test covers the gate-level mirror across a lane-word
+  // boundary).
   const bool hw = spec.bit == BitLevel::kTmrHw;
   const std::size_t n_percents =
       multi_word || hw || c.end_factor == kTotalWearOut ? 1

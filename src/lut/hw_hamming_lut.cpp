@@ -122,9 +122,7 @@ bool HwHammingLut::read(std::uint32_t addr, MaskView mask) const {
       inputs |= std::uint64_t{1} << (20 + i);
     }
   }
-  const MaskView logic_mask =
-      mask.is_null() ? MaskView{} : mask.subview(21, logic_sites());
-  const auto nodes = net_.evaluate(inputs, logic_mask);
+  const auto nodes = net_.evaluate(inputs, mask.subview(21, logic_sites()));
   return net_.value_of(out_, inputs, nodes);
 }
 

@@ -71,9 +71,7 @@ bool HwTmrLut::read(std::uint32_t addr, MaskView mask) const {
       }
     }
   }
-  const MaskView logic_mask =
-      mask.is_null() ? MaskView{} : mask.subview(48, logic_sites());
-  const auto nodes = net_.evaluate(inputs, logic_mask);
+  const auto nodes = net_.evaluate(inputs, mask.subview(48, logic_sites()));
   return net_.value_of(out_, inputs, nodes);
 }
 
@@ -89,11 +87,8 @@ bool HwRecursiveTmrLut::read(std::uint32_t addr, MaskView mask) const {
   assert(mask.is_null() || mask.size() == fault_sites());
   bool r[3];
   for (std::size_t i = 0; i < 3; ++i) {
-    const MaskView m =
-        mask.is_null()
-            ? MaskView{}
-            : mask.subview(i * replica_sites_, replica_sites_);
-    r[i] = replicas_[i].read(addr, m);
+    r[i] = replicas_[i].read(
+        addr, mask.subview(i * replica_sites_, replica_sites_));
   }
   // Final gate-level majority: nodes p1, p2, p3, q, out — each output
   // individually faultable (mask bits at the tail of the site space).

@@ -64,25 +64,5 @@ std::string_view pipeline_stage_label(std::size_t i) {
   }
 }
 
-void write_pipeline_counters_json(std::ostream& os,
-                                  const PipelineCounters& c) {
-  os << "{\"cycles\":" << c.cycles << ",\"retired\":" << c.retired
-     << ",\"stalls\":" << c.stalls << ",\"bubbles\":" << c.bubbles
-     << ",\"forwards\":" << c.forwards << ",\"flushes\":" << c.flushes
-     << ",\"stage\":{";
-  for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
-    if (i != 0) os << ",";
-    os << "\"" << pipeline_stage_label(i) << "\":{\"ops\":" << c.stage[i].ops
-       << ",\"bit_faults\":" << c.stage[i].bit_faults << "}";
-  }
-  os << "}}";
-}
-
-std::string pipeline_counters_json(const PipelineCounters& c) {
-  std::ostringstream os;
-  write_pipeline_counters_json(os, c);
-  return os.str();
-}
-
 }  // namespace nbx::obs
 

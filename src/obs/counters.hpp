@@ -210,7 +210,7 @@ std::string counters_json(const Counters& c);
 inline constexpr std::size_t kPipelineStageCount = 4;
 
 /// Stable stage name for index `i` ("fetch", "decode", "execute",
-/// "writeback") used as JSON keys and metric labels.
+/// "writeback"), the pipeline metrics' `stage` label.
 std::string_view pipeline_stage_label(std::size_t i);
 
 /// Per-stage tallies.
@@ -258,13 +258,5 @@ struct PipelineCounters {
 
   void reset() { *this = PipelineCounters{}; }
 };
-
-/// Writes one PipelineCounters as a single-line JSON object:
-/// {"cycles":...,"retired":...,...,"stage":{"fetch":{...},...}}.
-void write_pipeline_counters_json(std::ostream& os,
-                                  const PipelineCounters& c);
-
-/// Convenience: write_pipeline_counters_json into a string.
-std::string pipeline_counters_json(const PipelineCounters& c);
 
 }  // namespace nbx::obs

@@ -23,8 +23,8 @@
 //   * gate netlists (eval_netlist) — parallel-pattern simulation of the
 //     CMOS cores and voter, and of the hw cores' gate-level LUT read
 //     paths (hw_lut_read: one shared netlist over each LUT's storage);
-//   * LUT cores (eval_lut_core) — the 8-slice ripple loop, one body over
-//     either LUT kind's read;
+//   * LUT cores (WideSliceExec) — the shared slice plan of
+//     alu/slice_plan.hpp at W lane words, over either LUT kind's read;
 //   * modules (WideModuleExec) — the shared compute_single/space/time
 //     plans of alu/module_plan.hpp at W lane words;
 //   * the fault masks (lockstep_masks) — exactly MaskGenerator's
@@ -53,6 +53,7 @@
 #endif
 
 #include "alu/module_plan.hpp"
+#include "alu/slice_plan.hpp"
 #include "common/batch_bitvec.hpp"
 #include "gatesim/netlist.hpp"
 #include "lut/coded_lut.hpp"
@@ -594,37 +595,21 @@ struct WideOut {
   LaneVec<W> disagreement;
 };
 
-/// A LUT core pass, LutCoreAlu's and HwLutCoreAlu's alike: 32 LUT reads
-/// with a lane-sliced ripple carry (carries diverge between lanes after
-/// the first faulted read). `read(i, addr)` reads LUT i (slice-major,
-/// then role) at the 4 address rows `addr`.
-template <std::size_t W, class Read>
-void eval_lut_core(Opcode op, std::uint8_t a, std::uint8_t b,
-                   LaneVec<W> out[8], Read&& read) {
-  using V = LaneVec<W>;
-  enum Role : std::size_t { kLogic = 0, kSum = 1, kCarry = 2, kSelect = 3 };
-  const auto opbits = static_cast<std::uint32_t>(op);
-  const V op0 = V::splat(lane_broadcast(opbits & 1u));
-  const V op1 = V::splat(lane_broadcast(opbits & 2u));
-  const V op2 = V::splat(lane_broadcast(opbits & 4u));
+/// Execution context of the shared slice plan (plan::compute_slices in
+/// alu/slice_plan.hpp) at W lane words, for LutCoreAlu's and
+/// HwLutCoreAlu's cores alike: `read_lut(i, addr)` reads LUT i of the
+/// core's block at the 4 address rows `addr`.
+template <std::size_t W, class ReadLut>
+struct WideSliceExec {
+  using Bit = LaneVec<W>;
 
-  V cin = V::zero();
-  for (std::size_t i = 0; i < 8; ++i) {
-    const V ai = V::splat(lane_broadcast((a >> i) & 1u));
-    const V bi = V::splat(lane_broadcast((b >> i) & 1u));
+  ReadLut read_lut;
+  LaneVec<W>* out;  ///< 8 result rows
 
-    const V l_addr[4] = {ai, bi, op0, op1};
-    const V l = read(i * 4 + kLogic, l_addr);
-
-    const V sc_addr[4] = {ai, bi, cin, op2};
-    const V s = read(i * 4 + kSum, sc_addr);
-    const V c = read(i * 4 + kCarry, sc_addr);
-
-    const V o_addr[4] = {op2, l, s, V::zero()};
-    out[i] = read(i * 4 + kSelect, o_addr);
-    cin = c;
-  }
-}
+  static Bit broadcast(bool bit) { return Bit::splat(lane_broadcast(bit)); }
+  Bit read(std::size_t i, const Bit addr[4]) { return read_lut(i, addr); }
+  void emit(std::size_t slice, const Bit& bit) { out[slice] = bit; }
+};
 
 /// A CmosCoreAlu pass: the core netlist on broadcast operands.
 template <std::size_t W>
@@ -691,11 +676,11 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
   out.disagreement = value_diff | (vx ^ vy) | (vy ^ vz);
   for (std::size_t i = 0; i < 8; ++i) {
     const V addr[4] = {x[i], y[i], z[i], V::zero()};
-    out.value[i] = lut_read<W>(blk.luts[i], addr, mask,
-                               offset + blk.offsets[i], active, sink);
+    out.value[i] = lut_read<W>(blk.lut(i), addr, mask, offset + blk.offset(i),
+                               active, sink);
   }
   const V vaddr[4] = {vx, vy, vz, V::zero()};
-  out.valid = lut_read<W>(blk.luts[8], vaddr, mask, offset + blk.offsets[8],
+  out.valid = lut_read<W>(blk.lut(8), vaddr, mask, offset + blk.offset(8),
                           active, sink);
   if (sink != nullptr) {
     const V majv = (vx & vy) | (vy & vz) | (vx & vz);
@@ -758,23 +743,34 @@ struct WideModuleExec {
     return mirror->voter()->sites;
   }
 
+  /// The slice plan over a LUT core, `read_lut` reading its LUTs.
+  template <class ReadLut>
+  void eval_slices(ReadLut read_lut, Result& r) {
+    plan::compute_slices(WideSliceExec<W, ReadLut>{read_lut, r.w}, op, a, b,
+                         kWordBits);
+  }
+
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
     const WideMirror::Core& c = mirror->cores()[core];
     const WideLutBlock& blk = c.block;
     switch (c.kind) {
       case WideMirror::PartKind::kLut:
-        eval_lut_core<W>(op, a, b, r.w, [&](std::size_t i, const auto* addr) {
-          return lut_read<W>(blk.luts[i], addr, *mask,
-                             offset + blk.offsets[i], active, sink);
-        });
+        eval_slices(
+            [&](std::size_t i, const LaneVec<W>* addr) {
+              return lut_read<W>(blk.lut(i), addr, *mask,
+                                 offset + blk.offset(i), active, sink);
+            },
+            r);
         break;
       case WideMirror::PartKind::kHwLut:
         // The hw and CMOS cores match their scalar datapaths: no
         // correction telemetry.
-        eval_lut_core<W>(op, a, b, r.w, [&](std::size_t i, const auto* addr) {
-          return hw_lut_read<W>(c, blk.luts[i], addr, *mask,
-                                offset + blk.offsets[i], nodes);
-        });
+        eval_slices(
+            [&](std::size_t i, const LaneVec<W>* addr) {
+              return hw_lut_read<W>(c, blk.lut(i), addr, *mask,
+                                    offset + blk.offset(i), nodes);
+            },
+            r);
         break;
       case WideMirror::PartKind::kCmos:
         eval_cmos_core<W>(c, op, a, b, *mask, offset, r.w, nodes);

@@ -181,15 +181,13 @@ WideLut wide_lut(const HwTmrLut& lut, CodeTables& /*codes*/) {
   return wide_leaves(lut.golden_table(), lut.fault_sites());
 }
 
-/// The LUTs of a LutCoreAlu, HwLutCoreAlu or LutVoter, as a WideLutBlock.
-template <class LutOwner>
-void mirror_luts(const LutOwner& owner, std::size_t count, CodeTables& codes,
+/// The wide view of a LutCoreAlu's, HwLutCoreAlu's or LutVoter's block.
+template <class Lut>
+void mirror_luts(const LutBlock<Lut>& block, CodeTables& codes,
                  WideLutBlock& out) {
-  out.luts.reserve(count);
-  out.offsets.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.luts.push_back(wide_lut(owner.lut_at(i), codes));
-    out.offsets.push_back(owner.lut_offset(i));
+  out.reserve(block.size());
+  for (const Lut& lut : block.luts()) {
+    out.emplace_back(wide_lut(lut, codes));
   }
 }
 
@@ -199,16 +197,16 @@ bool mirror_core(const CoreAlu& core, CodeTables& codes,
   out.sites = core.fault_sites();
   if (const auto* lut = dynamic_cast<const LutCoreAlu*>(&core)) {
     out.kind = WideMirror::PartKind::kLut;
-    mirror_luts(*lut, LutCoreAlu::kLutCount, codes, out.block);
+    mirror_luts(lut->block(), codes, out.block);
     return true;
   }
   if (const auto* hw = dynamic_cast<const HwLutCoreAlu*>(&core)) {
     // A HwTmrLut's truth table enters its read path only through the
     // storage inputs, so one netlist serves all 32.
     out.kind = WideMirror::PartKind::kHwLut;
-    out.netlist = &hw->lut_at(0).netlist();
-    out.lut_out = hw->lut_at(0).output();
-    mirror_luts(*hw, HwLutCoreAlu::kLutCount, codes, out.block);
+    out.netlist = &hw->block().lut(0).netlist();
+    out.lut_out = hw->block().lut(0).output();
+    mirror_luts(hw->block(), codes, out.block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosCoreAlu*>(&core)) {
@@ -227,7 +225,7 @@ bool mirror_voter(const IVoter& voter, CodeTables& codes,
   out.sites = voter.fault_sites();
   if (const auto* lut = dynamic_cast<const LutVoter*>(&voter)) {
     out.kind = WideMirror::PartKind::kLut;
-    mirror_luts(*lut, LutVoter::kLutCount, codes, out.block);
+    mirror_luts(lut->block(), codes, out.block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosVoter*>(&voter)) {

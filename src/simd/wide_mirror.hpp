@@ -22,6 +22,7 @@
 #include "alu/alu_iface.hpp"
 #include "gatesim/netlist.hpp"
 #include "lut/coded_lut.hpp"
+#include "lut/lut_block.hpp"
 
 namespace nbx::simd {
 
@@ -71,17 +72,15 @@ struct WideLut {
   const WideCode* code = nullptr;  ///< owned by the WideMirror; null (hw)
   LutCoding coding = LutCoding::kNone;
   std::size_t inputs = 0;  ///< address bits k
-  std::size_t sites = 0;   ///< stored bits (fault sites) of this LUT
+  std::size_t sites = 0;   ///< fault sites of the mirrored LUT
   std::vector<std::uint64_t> golden;  ///< 2^k truth-table leaves
+
+  [[nodiscard]] std::size_t fault_sites() const { return sites; }
 };
 
-/// One LUT block: the LUTs of a LutCoreAlu or HwLutCoreAlu (32) or a
-/// LutVoter (9), plus each LUT's site offset inside its owner's mask
-/// segment.
-struct WideLutBlock {
-  std::vector<WideLut> luts;
-  std::vector<std::size_t> offsets;
-};
+/// The LutBlock of a LutCoreAlu or HwLutCoreAlu (32 LUTs) or a LutVoter
+/// (9), LUT for LUT: the same layout, hence the same site offsets.
+using WideLutBlock = LutBlock<WideLut>;
 
 /// The structural mirror of one IAlu.
 class WideMirror {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "alu/lut_core_alu.hpp"
 #include "common/rng.hpp"
 #include "fault/mask_generator.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
 namespace {
@@ -61,6 +63,46 @@ TEST(WideLutAlu, TmrMasksSingleFaultsAtAnyWidth) {
       EXPECT_EQ(alu.eval(Opcode::kXor, a, b, MaskView(mask, 0, mask.size())),
                 alu.golden(Opcode::kXor, a, b))
           << "w=" << w << " site " << site;
+    }
+  }
+}
+
+TEST(WideLutAlu, EightBitsMatchTheCatalogueCoreUnderFaults) {
+  // At W = 8 the analysis datapath is LutCoreAlu's: under the same mask
+  // every result and every anatomy counter must agree, bit for bit.
+  for (const LutCoding c :
+       {LutCoding::kNone, LutCoding::kHamming, LutCoding::kHammingIdeal,
+        LutCoding::kTmr, LutCoding::kTmrInterleaved, LutCoding::kHsiao,
+        LutCoding::kReedSolomon}) {
+    const WideLutAlu wide(8, c);
+    const LutCoreAlu core(c);
+    ASSERT_EQ(wide.fault_sites(), core.fault_sites());
+    for (const double percent : {2.0, 25.0}) {
+      const std::string at =
+          std::string(lut_coding_suffix(c)) + " @ " + std::to_string(percent);
+      const MaskGenerator gen(core.fault_sites(), percent);
+      Rng rng(static_cast<std::uint64_t>(c) * 100 +
+              static_cast<std::uint64_t>(percent));
+      obs::Counters wide_sink;
+      obs::Counters core_sink;
+      int wrong = 0;
+      for (int t = 0; t < 400; ++t) {
+        const Opcode op = kAllOpcodes[rng.below(4)];
+        const auto a = static_cast<std::uint8_t>(rng.next());
+        const auto b = static_cast<std::uint8_t>(rng.next());
+        const BitVec mask = gen.generate(rng);
+        const MaskView view(mask, 0, mask.size());
+        const std::uint8_t expect = core.eval(op, a, b, view, &core_sink);
+        ASSERT_EQ(wide.eval(op, a, b, view, &wide_sink), expect)
+            << at << " trial " << t;
+        wrong += expect != golden_alu(op, a, b) ? 1 : 0;
+      }
+      EXPECT_TRUE(wide_sink == core_sink)
+          << at << "\n  wide " << obs::counters_json(wide_sink)
+          << "\n  core " << obs::counters_json(core_sink);
+      if (percent == 25.0) {
+        EXPECT_GT(wrong, 0) << at << ": the masks must reach the result";
+      }
     }
   }
 }

@@ -178,8 +178,8 @@ TEST(WideMirror, GateLevelLutCoresShareOneReadPathNetlist) {
       ASSERT_NE(c.netlist, nullptr) << s.name;
       // 4 inverters + 16 minterms + 3 x (16 AND2 + OR16) + 5 majority.
       EXPECT_EQ(c.netlist->node_count(), 76u) << s.name;
-      ASSERT_EQ(c.block.luts.size(), 32u) << s.name;
-      for (const simd::WideLut& t : c.block.luts) {
+      ASSERT_EQ(c.block.size(), 32u) << s.name;
+      for (const simd::WideLut& t : c.block.luts()) {
         EXPECT_EQ(t.golden.size(), 16u) << s.name;
         EXPECT_EQ(t.sites, 48u + 76u) << s.name;
       }
