@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
               << fmt_double(cfg.transient_percent, 2)
               << "% transients: " << fmt_double(p.mean_percent_correct, 2)
               << "% correct (stddev " << fmt_double(p.stddev, 2) << ", "
-              << p.samples << " chips)\n";
+              << chips << " chips per workload, " << p.samples
+              << " samples)\n";
     return 0;
   }
 

@@ -54,11 +54,12 @@ BitVec HammingCode::generate_check_bits(const BitVec& data) const {
 
 std::uint32_t HammingCode::syndrome_of(const BitVec& data,
                                        const BitVec& checks) const {
-  const BitVec recomputed = generate_check_bits(data);
-  std::uint32_t syn = 0;
-  for (std::size_t i = 0; i < check_bits_; ++i) {
-    if (recomputed.get(i) != checks.get(i)) {
-      syn |= 1u << i;
+  // Check bit i covers the positions with bit i set, so the recomputed
+  // check bits are the XOR of the set data bits' positions.
+  auto syn = static_cast<std::uint32_t>(checks.extract(0, check_bits_));
+  for (std::size_t d = 0; d < data_bits_; ++d) {
+    if (data.get(d)) {
+      syn ^= data_pos_[d];
     }
   }
   return syn;

@@ -47,29 +47,23 @@ BitVec Rs16Code::generate_check_bits(const BitVec& data) const {
   return checks;
 }
 
-std::vector<std::uint8_t> Rs16Code::assemble(const BitVec& data,
-                                             const BitVec& checks) const {
-  std::vector<std::uint8_t> c(codeword_symbols());
-  c[0] = static_cast<std::uint8_t>(checks.extract(0, 4));
-  c[1] = static_cast<std::uint8_t>(checks.extract(4, 4));
-  for (std::size_t i = 0; i < data_symbols(); ++i) {
-    c[2 + i] = nibble(data, i);
-  }
-  return c;
-}
-
 RsStatus Rs16Code::detect_and_correct(BitVec& data,
                                       const BitVec& stored_checks) const {
   assert(data.size() == data_bits_);
   assert(stored_checks.size() == 8);
-  const std::vector<std::uint8_t> c = assemble(data, stored_checks);
-  // Syndromes S_t = sum_j c_j * a^(t*j).
+  // Syndromes S_t = sum_j c_j * a^(t*j) over the codeword coefficients:
+  // the parity symbols c_0, c_1, then data nibble i at c_{2+i}.
   std::uint8_t s1 = 0;
   std::uint8_t s2 = 0;
-  for (std::size_t j = 0; j < c.size(); ++j) {
-    s1 = gf16::add(s1, gf16::mul(c[j], gf16::pow_alpha(static_cast<int>(j))));
+  const auto add = [&](std::size_t j, std::uint8_t c) {
+    s1 = gf16::add(s1, gf16::mul(c, gf16::pow_alpha(static_cast<int>(j))));
     s2 = gf16::add(
-        s2, gf16::mul(c[j], gf16::pow_alpha(static_cast<int>(2 * j))));
+        s2, gf16::mul(c, gf16::pow_alpha(static_cast<int>(2 * j))));
+  };
+  add(0, nibble(stored_checks, 0));
+  add(1, nibble(stored_checks, 1));
+  for (std::size_t i = 0; i < data_symbols(); ++i) {
+    add(2 + i, nibble(data, i));
   }
   if (s1 == 0 && s2 == 0) {
     return RsStatus::kNoError;

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/bitvec.hpp"
 
@@ -56,10 +55,6 @@ class Rs16Code {
 
  private:
   std::size_t data_bits_;
-
-  // Extracts codeword coefficients [c0..c_{n-1}] from (data, checks).
-  [[nodiscard]] std::vector<std::uint8_t> assemble(
-      const BitVec& data, const BitVec& checks) const;
 };
 
 }  // namespace nbx

@@ -3,9 +3,12 @@
 //
 // This header is included by lane_engine_{scalar,avx2,avx512}.cpp with
 // NBX_SIMD_NS set to a tier-specific namespace and the TU compiled with
-// that tier's -m flags. Everything here is plain C++ word loops over
-// LaneVec<W> (W 64-bit lane words per fault site); the compiler
-// auto-vectorizes them to the TU's register width. Distinct namespaces
+// that tier's -m flags. Every kernel works on LaneVec<W> rows (W 64-bit
+// lane words per fault site), each held as GCC vector registers of the
+// TU's width (a zmm of 8 words under AVX-512, a ymm of 4 under AVX2, an
+// SSE2 xmm of 2 on the portable tier), so a row stays in registers
+// through a kernel at every optimization level instead of in a word
+// array the compiler may or may not vectorize. Distinct namespaces
 // keep each tier's template instantiations distinct symbols (the
 // Highway-style foreach-target pattern), so the linker can never merge
 // an AVX-512 instantiation into a binary path reached on a plain-SSE
@@ -16,7 +19,8 @@
 //     stored words, built only over the address bits that differ between
 //     lanes (MuxSel): operands and opcode are broadcast, so most reads
 //     are one leaf load. TMR majority-votes three trees; Hamming and
-//     Hsiao decode the mask's syndrome as lane-parallel predicates;
+//     Hsiao decode the mask's syndrome as lane-parallel predicates, and
+//     Hamming's repair test is the code's own rule, bit-sliced;
 //     Reed-Solomon locates and repairs a symbol in bit-sliced GF(16)
 //     arithmetic, only for the symbols the tree reads. Every coding has
 //     this one read path, for every lane;
@@ -68,66 +72,100 @@
 namespace nbx::simd {
 namespace NBX_SIMD_NS {
 
+// ------------------------------------------------------ tier widths
+//
+// One ladder per tier, not knobs:
+//   kRegWords — lane words per vector register: a zmm under AVX-512, a
+//     ymm under AVX2, an xmm (SSE2, the x86-64 baseline) on the portable
+//     tier. LaneVec<W> holds a row in W / kRegWords of them;
+//   kDrawBlock, kDrawTile — the lockstep mask layer's lanes stepped
+//     together and Floyd steps per tile (see "lockstep masks" below).
+#if defined(__AVX512F__)
+constexpr std::size_t kRegWords = 8;
+constexpr std::size_t kDrawBlock = 8;
+constexpr std::size_t kDrawTile = 16;
+#elif defined(__AVX2__)
+constexpr std::size_t kRegWords = 4;
+constexpr std::size_t kDrawBlock = 4;
+constexpr std::size_t kDrawTile = 8;
+#else
+constexpr std::size_t kRegWords = 2;
+constexpr std::size_t kDrawBlock = 1;
+constexpr std::size_t kDrawTile = 8;
+#endif
+
 // --------------------------------------------------------------- LaneVec
 
-/// W lane words = 64*W trial lanes. All operations are whole-row plain
-/// loops, the unit the TU's -m flags vectorize.
+/// W lane words = 64*W trial lanes, held as R = W / C GCC vector
+/// registers of C = min(W, kRegWords) words each, so a row lives in
+/// registers across a kernel instead of in a stack array the compiler
+/// may or may not vectorize. Every operator is whole-row; `word(i)`
+/// reads lane word i for the few scalar consumers (mux classification,
+/// popcounts, the scorer).
 template <std::size_t W>
 struct LaneVec {
-  std::uint64_t w[W];
+  static constexpr std::size_t C = std::min(W, kRegWords);
+  static constexpr std::size_t R = W / C;
+  static_assert(W % C == 0);
+  // typedef, not `using`: GCC 12 drops a dependent vector_size from an
+  // alias-declaration and leaves a plain uint64_t.
+  typedef std::uint64_t Reg __attribute__((vector_size(8 * C)));
+  /// A register's view of C words of a row: rows are only 8-byte
+  /// aligned, and may_alias lets it read and write uint64_t storage.
+  typedef std::uint64_t Row
+      __attribute__((vector_size(8 * C), aligned(8), may_alias));
 
-  static LaneVec zero() {
-    LaneVec v;
-    for (std::size_t i = 0; i < W; ++i) v.w[i] = 0;
-    return v;
-  }
-  static LaneVec ones() {
-    LaneVec v;
-    for (std::size_t i = 0; i < W; ++i) v.w[i] = ~std::uint64_t{0};
-    return v;
-  }
+  Reg r[R];
+
+  static LaneVec zero() { return splat(0); }
+  static LaneVec ones() { return splat(~std::uint64_t{0}); }
   /// Splats one 64-lane word pattern across every lane word — used for
   /// broadcast leaves (all-zero/all-one) and scalar operand bits.
   static LaneVec splat(std::uint64_t word) {
     LaneVec v;
-    for (std::size_t i = 0; i < W; ++i) v.w[i] = word;
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) v.r[k] = Reg{} + word;
     return v;
   }
   static LaneVec load(const std::uint64_t* p) {
     LaneVec v;
-    for (std::size_t i = 0; i < W; ++i) v.w[i] = p[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) {
+      v.r[k] = *reinterpret_cast<const Row*>(p + k * C);
+    }
     return v;
   }
   void store(std::uint64_t* p) const {
-    for (std::size_t i = 0; i < W; ++i) p[i] = w[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) {
+      *reinterpret_cast<Row*>(p + k * C) = r[k];
+    }
+  }
+  [[nodiscard]] std::uint64_t word(std::size_t i) const {
+    return r[i / C][i % C];
   }
 
-  friend LaneVec operator&(LaneVec a, const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) a.w[i] &= b.w[i];
-    return a;
-  }
-  friend LaneVec operator|(LaneVec a, const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) a.w[i] |= b.w[i];
-    return a;
-  }
-  friend LaneVec operator^(LaneVec a, const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) a.w[i] ^= b.w[i];
-    return a;
-  }
+  friend LaneVec operator&(LaneVec a, const LaneVec& b) { return a &= b; }
+  friend LaneVec operator|(LaneVec a, const LaneVec& b) { return a |= b; }
+  friend LaneVec operator^(LaneVec a, const LaneVec& b) { return a ^= b; }
   friend LaneVec operator~(LaneVec a) {
-    for (std::size_t i = 0; i < W; ++i) a.w[i] = ~a.w[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) a.r[k] = ~a.r[k];
     return a;
   }
   LaneVec& operator&=(const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) w[i] &= b.w[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) r[k] &= b.r[k];
     return *this;
   }
   LaneVec& operator|=(const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) w[i] |= b.w[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) r[k] |= b.r[k];
     return *this;
   }
   LaneVec& operator^=(const LaneVec& b) {
-    for (std::size_t i = 0; i < W; ++i) w[i] ^= b.w[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < R; ++k) r[k] ^= b.r[k];
     return *this;
   }
 };
@@ -136,19 +174,16 @@ struct LaneVec {
 template <std::size_t W>
 inline LaneVec<W> blend(const LaneVec<W>& lo, const LaneVec<W>& hi,
                         const LaneVec<W>& sel) {
-  LaneVec<W> v;
-  for (std::size_t i = 0; i < W; ++i) {
-    v.w[i] = lo.w[i] ^ ((lo.w[i] ^ hi.w[i]) & sel.w[i]);
-  }
-  return v;
+  return lo ^ ((lo ^ hi) & sel);
 }
 
 /// Active-lane population of `x & active`.
 template <std::size_t W>
 inline std::uint64_t popcnt(const LaneVec<W>& x, const LaneVec<W>& active) {
+  const LaneVec<W> live = x & active;
   std::uint64_t n = 0;
   for (std::size_t i = 0; i < W; ++i) {
-    n += static_cast<std::uint64_t>(std::popcount(x.w[i] & active.w[i]));
+    n += static_cast<std::uint64_t>(std::popcount(live.word(i)));
   }
   return n;
 }
@@ -156,16 +191,16 @@ inline std::uint64_t popcnt(const LaneVec<W>& x, const LaneVec<W>& active) {
 /// Active mask for the low `lanes` lanes of a W-word group.
 template <std::size_t W>
 inline LaneVec<W> active_mask(unsigned lanes) {
-  LaneVec<W> v = LaneVec<W>::zero();
+  std::uint64_t w[W] = {};
   for (std::size_t i = 0; i < W; ++i) {
     const std::size_t low = i * kLanesPerWord;
     if (lanes > low) {
       const unsigned here =
           static_cast<unsigned>(std::min<std::size_t>(lanes - low, 64));
-      v.w[i] = lane_mask_for(here);
+      w[i] = lane_mask_for(here);
     }
   }
-  return v;
+  return LaneVec<W>::load(w);
 }
 
 // --------------------------------------------------------------- mux tree
@@ -196,8 +231,8 @@ struct MuxSel {
       std::uint64_t any = 0;
       std::uint64_t all = ~std::uint64_t{0};
       for (std::size_t i = 0; i < W; ++i) {
-        any |= rows[l].w[i];
-        all &= rows[l].w[i];
+        any |= rows[l].word(i);
+        all &= rows[l].word(i);
       }
       if (all == ~std::uint64_t{0}) {
         base |= std::size_t{1} << l;
@@ -303,6 +338,33 @@ LaneVec<W> lane_syndrome(const WideCode& code, const BatchBitVec& mask,
   return any;
 }
 
+/// Hamming's repair rule, HammingCode::decode bit-sliced over the r
+/// syndrome rows: the syndrome names a data position when it has at
+/// least two bits set (one bit names a check position) and is at most
+/// the codeword length `cw`. The comparison with the constant `cw`
+/// runs from the top bit down.
+template <std::size_t W>
+LaneVec<W> hamming_repairs(const LaneVec<W>* syn, std::size_t r,
+                           std::size_t cw) {
+  using V = LaneVec<W>;
+  assert(cw < (std::size_t{1} << r));
+  V once = V::zero();
+  V twice = V::zero();
+  V below = V::zero();  // lanes whose syndrome is already below cw
+  V tied = V::ones();   // lanes equal to cw in the bits seen so far
+  for (std::size_t j = r; j-- > 0;) {
+    twice |= once & syn[j];
+    once |= syn[j];
+    if ((cw >> j) & 1u) {
+      below |= tied & ~syn[j];
+      tied &= syn[j];
+    } else {
+      tied &= ~syn[j];
+    }
+  }
+  return twice & (below | tied);
+}
+
 /// Hamming and Hsiao, the single-bit-correcting linear codes: the
 /// syndrome names at most one H column, and the decoder flips the data
 /// bit it names.
@@ -339,11 +401,16 @@ LaneVec<W> read_sec(const WideLut& t, const MuxSel<W>& addr,
     // counters alone.
     return faulted ^ eq;
   }
-  // Does each lane's decoder call its syndrome a repair? The syndrome
-  // words drive a mux over the 2^r constant leaves.
-  const V repair = lane_mux<W>(MuxSel<W>(r, syn), [&](std::size_t s) {
-    return V::splat(code.repair_leaves[s]);
-  });
+  // Does each lane's decoder call its syndrome a repair? Hamming by its
+  // rule; Hsiao, with the sink on only, through a mux over the 2^r
+  // constant leaves that the syndrome words drive.
+  const V repair =
+      t.coding == LutCoding::kHsiao
+          ? lane_mux<W>(MuxSel<W>(r, syn),
+                        [&](std::size_t s) {
+                          return V::splat(code.repair_leaves[s]);
+                        })
+          : hamming_repairs<W>(syn, r, code.codeword_bits);
   if (oc != nullptr) {
     // Word-parallel flip census over the stored segment: `once` marks
     // lanes with >= 1 flip, `twice` lanes with >= 2.
@@ -833,7 +900,8 @@ struct WideModuleExec {
 // scalar loop draws. Idle lanes of a ragged block step along in lockstep
 // but never write a bit or redraw.
 //
-// The two constants are not knobs: each was picked by timing the layer
+// The two constants (in the tier-width ladder at the top of this file)
+// are not knobs: each was picked by timing the layer
 // alone (aluss at 2% / 10%, 512 lanes, one thread, GCC 12 -O3 on a
 // 4-vCPU AVX-512 host, all variants interleaved in one process; ns per
 // draw):
@@ -847,16 +915,6 @@ struct WideModuleExec {
 //     AVX-512 16 (1.7 / 2.6; 8: 1.7 / 2.8; 64: 2.1 / 3.1), AVX2 8
 //     (2.1 / 3.3; 1: 3.8 / 4.7; 64: 2.6 / 3.8), portable 8 (3.2 / 4.7;
 //     1: 5.2 / 6.8; 64: 3.5 / 4.9).
-#if defined(__AVX512F__)
-constexpr std::size_t kDrawBlock = 8;
-constexpr std::size_t kDrawTile = 16;
-#elif defined(__AVX2__)
-constexpr std::size_t kDrawBlock = 4;
-constexpr std::size_t kDrawTile = 8;
-#else
-constexpr std::size_t kDrawBlock = 1;
-constexpr std::size_t kDrawTile = 8;
-#endif
 static_assert(kLanesPerWord % kDrawBlock == 0);
 
 /// One 64-bit word of each of a block's lanes.
@@ -1068,8 +1126,9 @@ void run_group_impl(const WideGroupJob& job) {
     for (unsigned bit = 0; bit < 8; ++bit) {
       wrong |= out.value[bit] ^ V::splat(lane_broadcast((ins.golden >> bit) & 1u));
     }
+    const V missed = wrong & active;
     for (std::size_t wi = 0; wi < W; ++wi) {
-      for (std::uint64_t rest = wrong.w[wi] & active.w[wi]; rest != 0;
+      for (std::uint64_t rest = missed.word(wi); rest != 0;
            rest &= rest - 1) {
         ++incorrect[wi * kLanesPerWord +
                     static_cast<unsigned>(std::countr_zero(rest))];

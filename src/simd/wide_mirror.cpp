@@ -23,12 +23,10 @@ namespace {
 using CodeTables = std::vector<std::unique_ptr<const WideCode>>;
 
 /// Fills the tables of a linear SEC code over n data bits and r check
-/// bits: data bit d has H column col(d), check bit j (stored at site
-/// n + j) the unit vector 1 << j, and repairs(s) says whether the
-/// decoder repairs syndrome s.
-template <class Column, class Repairs>
-void linear_tables(WideCode& c, std::size_t n, std::size_t r, Column col,
-                   Repairs repairs) {
+/// bits: data bit d has H column col(d), and check bit j (stored at
+/// site n + j) the unit vector 1 << j.
+template <class Column>
+void linear_tables(WideCode& c, std::size_t n, std::size_t r, Column col) {
   c.syndrome_sites.resize(r);
   c.column_leaves.assign(r, std::vector<std::uint64_t>(n));
   for (std::size_t d = 0; d < n; ++d) {
@@ -42,10 +40,6 @@ void linear_tables(WideCode& c, std::size_t n, std::size_t r, Column col,
   }
   for (std::size_t j = 0; j < r; ++j) {
     c.syndrome_sites[j].push_back(static_cast<std::uint32_t>(n + j));
-  }
-  c.repair_leaves.resize(std::size_t{1} << r);
-  for (std::uint32_t s = 0; s < c.repair_leaves.size(); ++s) {
-    c.repair_leaves[s] = lane_broadcast(repairs(s));
   }
 }
 
@@ -80,17 +74,12 @@ std::unique_ptr<const WideCode> build_code(LutCoding coding, std::size_t n) {
       break;
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal: {
-      // A codeword position's H column is the position itself. As
-      // HammingCode::decode, the corrector repairs a data position: a
-      // nonzero in-codeword syndrome that is not a power of two.
+      // A codeword position's H column is the position itself.
       const HammingCode code(n);
-      const std::size_t cw = code.codeword_bits();
-      linear_tables(
-          *c, n, code.check_bits(),
-          [&](std::size_t d) { return code.position_of_data(d); },
-          [&](std::uint32_t s) {
-            return s >= 1 && s <= cw && !std::has_single_bit(s);
-          });
+      linear_tables(*c, n, code.check_bits(), [&](std::size_t d) {
+        return code.position_of_data(d);
+      });
+      c->codeword_bits = code.codeword_bits();
       break;
     }
     case LutCoding::kHsiao: {
@@ -98,17 +87,19 @@ std::unique_ptr<const WideCode> build_code(LutCoding coding, std::size_t n) {
       // corrected when it is a unit vector (a check bit) or a data
       // column.
       const HsiaoCode code(n);
-      std::vector<bool> is_column(std::size_t{1} << code.check_bits());
+      const std::size_t r = code.check_bits();
+      linear_tables(*c, n, r,
+                    [&](std::size_t d) { return code.data_column(d); });
+      std::vector<bool> is_column(std::size_t{1} << r);
       for (std::size_t d = 0; d < n; ++d) {
         is_column[code.data_column(d)] = true;
       }
-      linear_tables(
-          *c, n, code.check_bits(),
-          [&](std::size_t d) { return code.data_column(d); },
-          [&](std::uint32_t s) {
-            return (std::popcount(s) & 1) != 0 &&
-                   (std::has_single_bit(s) || is_column[s]);
-          });
+      c->repair_leaves.resize(std::size_t{1} << r);
+      for (std::uint32_t s = 0; s < c->repair_leaves.size(); ++s) {
+        c->repair_leaves[s] = lane_broadcast(
+            (std::popcount(s) & 1) != 0 &&
+            (std::has_single_bit(s) || is_column[s]));
+      }
       break;
     }
     case LutCoding::kReedSolomon: {

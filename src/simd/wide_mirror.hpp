@@ -52,11 +52,14 @@ struct WideCode {
   std::vector<std::vector<std::uint32_t>> syndrome_sites;
   /// Hamming/Hsiao: 2^k leaves of bit j of data bit a's H column
   /// (Hamming: its codeword position), so the mux tree turns lane
-  /// addresses into lane columns ...
+  /// addresses into lane columns.
   std::vector<std::vector<std::uint64_t>> column_leaves;
-  /// ... and 2^r leaves: does the decoder call syndrome s a repair?
-  /// Hamming: s names a data position. Hsiao: HsiaoStatus::kCorrected,
-  /// i.e. odd weight and a unit vector or a data column.
+  /// Hamming: the codeword length. The decoder repairs a syndrome that
+  /// names a data position: two or more bits set, at most this.
+  std::size_t codeword_bits = 0;
+  /// Hsiao: 2^r leaves, does the decoder call syndrome s a repair
+  /// (HsiaoStatus::kCorrected: odd weight and a unit vector or a data
+  /// column)? Read only with the anatomy sink on.
   std::vector<std::uint64_t> repair_leaves;
   /// Reed-Solomon, one entry per codeword symbol j: multiplication by
   /// alpha^j (the locator test S1 * alpha^j == S2) and by alpha^-j (the

@@ -174,6 +174,25 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(64u, 512u)),
     audit_case_name);
 
+// The scalar engine, the oracle every wide row is checked against and
+// nbxd's cold path (lanes = 0): the Hamming, Hsiao and Reed-Solomon
+// readers decode a faulted read in thread-local working strings and
+// fold its syndrome into an integer, so at 2%, where most reads are
+// faulted, a trial allocates nothing.
+class AllocAuditScalar : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AllocAuditScalar, ScalarEngineSteadyStateAllocatesNothing) {
+  expect_zero_per_trial_allocations(GetParam(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodedLuts, AllocAuditScalar,
+    ::testing::Values(std::string("alush"), std::string("alushsiao"),
+                      std::string("alusrs")),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 TEST(AllocAudit, MetricsHotPathAllocatesNothing) {
   // The sharded metric primitives must be pure arithmetic after the
   // handle is resolved: registration may allocate, add()/observe() must
